@@ -79,7 +79,7 @@ func main() {
 	flag.DurationVar(&o.maxWait, "max-wait", time.Minute, "give up if no client connects in time")
 	flag.IntVar(&o.retry, "retry", 1, "attempts to bind the listen address (a just-killed collector may still hold it)")
 	flag.DurationVar(&o.backoffMax, "backoff-max", 2*time.Second, "cap on the delay between bind attempts")
-	flag.DurationVar(&o.col.Heartbeat, "heartbeat", 500*time.Millisecond, "interval between acknowledgement heartbeats to clients")
+	flag.DurationVar(&o.col.Heartbeat, "heartbeat", 500*time.Millisecond, "idle keepalive cadence: how often a quiet connection still gets an acknowledgement (credit is granted as records land, so this does not bound throughput)")
 	flag.DurationVar(&o.col.IdleTimeout, "idle-timeout", 0, "drop connections silent for this long (0 = never)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "",
 		"serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9100; empty = off)")

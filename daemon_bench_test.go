@@ -3,9 +3,11 @@
 // single-trace collector it generalizes) and eight sessions streaming
 // concurrently (the multi-session scaling number). Records flow the full
 // path — client framing, wire, admission, bounded queue, sequential segment
-// writer — and an iteration counts one record made durable on disk.
+// writer — and an iteration counts one record made durable on disk. Daemon,
+// collector and clients run at their shipped defaults (window, keepalive,
+// MemLimit), so the number is the one a `tcollect -daemon` user gets.
 //
-// Run with scripts/bench.sh to capture the JSON baseline (BENCH_PR6.json).
+// Run with scripts/bench.sh to capture the JSON baseline.
 package tracedbg_test
 
 import (
@@ -37,11 +39,7 @@ func benchEmit(b *testing.B, cl *remote.Client, n int) {
 }
 
 func benchDaemonIngest(b *testing.B, sessions int) {
-	d, err := remote.NewDaemon("127.0.0.1:0", remote.DaemonOptions{
-		Dir:          b.TempDir(),
-		Heartbeat:    time.Millisecond,
-		QueueRecords: 8192,
-	})
+	d, err := remote.NewDaemon("127.0.0.1:0", remote.DaemonOptions{Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,9 +93,7 @@ func BenchmarkDaemonIngest(b *testing.B) {
 	// The pre-daemon baseline: the same record stream into the single-trace
 	// collector, the <5% regression reference for SingleSession.
 	b.Run("LegacyCollector", func(b *testing.B) {
-		col, err := remote.NewCollectorOptions("127.0.0.1:0", remote.CollectorOptions{
-			Heartbeat: time.Millisecond,
-		})
+		col, err := remote.NewCollector("127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -110,10 +110,19 @@ type Client struct {
 	spillBW   *bufio.Writer
 	spillFW   *trace.FileWriter
 
+	// Readback cursor over the spill file: spillSc has yielded the first
+	// spillRead records, so a pump that continues where the last one stopped
+	// (the steady state of a client outrunning its collector) reads on
+	// instead of rescanning the file from the top.
+	spillRF   *os.File
+	spillSc   *trace.Scanner
+	spillRead uint64
+
 	conn    net.Conn
 	connGen int // bumped on every (re)attach; stale goroutines check it
 	bw      *bufio.Writer
 	fw      *trace.FileWriter
+	dirty   bool // records written to fw since the last flushLocked
 
 	err          error // fatal: retries exhausted
 	closed       bool
@@ -262,10 +271,7 @@ func (cl *Client) attachLocked(conn net.Conn, br *bufio.Reader, ack, win uint64)
 	m.clientUnacked.Set(int64(cl.total - ack))
 	err = cl.sendRangeLocked(ack, cl.sendLimitLocked())
 	if err == nil {
-		err = fw.Flush()
-	}
-	if err == nil {
-		err = bw.Flush()
+		err = cl.flushLocked()
 	}
 	if err != nil {
 		cl.conn = nil
@@ -295,25 +301,25 @@ func (cl *Client) sendRangeLocked(from, to uint64) error {
 	if from >= to {
 		return nil
 	}
+	cl.dirty = true
 	if from < cl.memBase {
 		if err := cl.flushSpillLocked(); err != nil {
 			return err
 		}
-		f, err := os.Open(cl.spillPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sc, err := trace.NewScanner(bufio.NewReaderSize(f, 1<<16))
-		if err != nil {
-			return err
-		}
-		for i := uint64(0); i < cl.memBase && i < to; i++ {
-			rec, err := sc.Next()
-			if err != nil {
-				return fmt.Errorf("spill readback at record %d: %w", i+1, err)
+		if cl.spillSc == nil || cl.spillRead > from {
+			// First readback, or a resume point behind the cursor.
+			if err := cl.rewindSpillLocked(); err != nil {
+				return err
 			}
-			if i < from {
+		}
+		for end := min(to, cl.memBase); cl.spillRead < end; {
+			rec, err := cl.spillSc.Next()
+			if err != nil {
+				cl.closeSpillReaderLocked()
+				return fmt.Errorf("spill readback at record %d: %w", cl.spillRead+1, err)
+			}
+			cl.spillRead++
+			if cl.spillRead <= from {
 				continue // already acknowledged
 			}
 			if err := cl.fw.Write(rec); err != nil {
@@ -340,6 +346,42 @@ func (cl *Client) sendRangeLocked(from, to uint64) error {
 // automatically for either sink).
 func (cl *Client) writerOptions() trace.WriterOptions {
 	return trace.WriterOptions{Writer: "tdbg-client/" + cl.opts.ID}
+}
+
+// flushLocked seals what has been written to fw into a chunk frame and
+// pushes it, with everything bw still holds, onto the wire. Caller holds
+// cl.mu with a live connection.
+func (cl *Client) flushLocked() error {
+	cl.dirty = false
+	if err := cl.fw.Flush(); err != nil {
+		return err
+	}
+	return cl.bw.Flush()
+}
+
+// rewindSpillLocked (re)opens the readback cursor at the top of the spill
+// file. The writer side must have been flushed: the scanner only ever reads
+// records that are already in sealed chunk frames on disk.
+func (cl *Client) rewindSpillLocked() error {
+	cl.closeSpillReaderLocked()
+	f, err := os.Open(cl.spillPath)
+	if err != nil {
+		return err
+	}
+	sc, err := trace.NewScanner(bufio.NewReaderSize(f, 1<<16))
+	if err != nil {
+		f.Close() //nolint:ioerr // read handle; the header error is surfaced
+		return err
+	}
+	cl.spillRF, cl.spillSc, cl.spillRead = f, sc, 0
+	return nil
+}
+
+func (cl *Client) closeSpillReaderLocked() {
+	if cl.spillRF != nil {
+		cl.spillRF.Close() //nolint:ioerr // read handle on the spill file
+		cl.spillRF, cl.spillSc, cl.spillRead = nil, nil, 0
+	}
 }
 
 func (cl *Client) flushSpillLocked() error {
@@ -405,7 +447,11 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 }
 
 // Emit implements the instrumentation Sink interface. Records are always
-// buffered; when connected they are also written to the wire immediately.
+// buffered; while connected with credit to spare they are also encoded into
+// the wire stream's write buffer. Bytes actually leave on Flush, on Close,
+// when that buffer fills, when Emit first finds the credit window exhausted
+// (the granted window must reach the collector for more to be granted), and
+// whenever the ackReader hears from the collector.
 func (cl *Client) Emit(rec *trace.Record) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -415,34 +461,38 @@ func (cl *Client) Emit(rec *trace.Record) {
 	cl.mem = append(cl.mem, *rec)
 	cl.total++
 	metrics().clientUnacked.Add(1)
-	if len(cl.mem) > cl.opts.MemLimit {
-		if err := cl.spillLocked(len(cl.mem) - cl.opts.MemLimit); err != nil {
+	if over := len(cl.mem) - cl.opts.MemLimit; over > 0 {
+		// Spill a quarter of the buffer at a time: spilling shifts the
+		// survivors down, a copy of the whole slice, so one record per Emit
+		// would make every Emit past MemLimit cost O(MemLimit).
+		if err := cl.spillLocked(max(over, cl.opts.MemLimit/4)); err != nil {
 			// Disk refused the overflow: keep everything in memory rather
 			// than drop history; record the condition once.
 			cl.err = fmt.Errorf("remote: spill: %w", err)
 			return
 		}
 	}
-	if cl.fw != nil {
-		if cl.win > 0 && cl.sent >= cl.win {
-			// Credit window exhausted: the record stays buffered; the
-			// ackReader pumps it out when the daemon grants more credit.
-			metrics().clientWindowStalls.Inc()
-			return
-		}
-		if cl.sent < cl.total-1 {
-			// Older records are still window-stalled; writing this one now
-			// would ship it out of order and again when the pump sends the
-			// backlog range. It waits its turn behind them.
-			metrics().clientWindowStalls.Inc()
-			return
-		}
-		if err := cl.fw.Write(rec); err != nil {
-			cl.dropConnLocked()
-		} else {
-			cl.sent++
-		}
+	if cl.fw == nil {
+		return
 	}
+	if (cl.win > 0 && cl.sent >= cl.win) || cl.sent < cl.total-1 {
+		// Credit window exhausted: the record stays buffered; the ackReader
+		// pumps it out when the daemon grants more credit. The same holds
+		// while older records are still window-stalled: writing this one now
+		// would ship it out of order and again when the pump sends the
+		// backlog range, so it waits its turn behind them.
+		metrics().clientWindowStalls.Inc()
+		if cl.dirty && cl.flushLocked() != nil {
+			cl.dropConnLocked()
+		}
+		return
+	}
+	if err := cl.fw.Write(rec); err != nil {
+		cl.dropConnLocked()
+		return
+	}
+	cl.sent++
+	cl.dirty = true
 }
 
 // dropConnLocked abandons the current connection and starts the background
@@ -511,8 +561,8 @@ func (cl *Client) ackReader(conn net.Conn, br *bufio.Reader, gen int) {
 			if cl.connGen == gen && n > cl.acked && n <= cl.total {
 				cl.acked = n
 			}
-			if cl.connGen == gen && win > 0 && cl.fw != nil {
-				if nw := n + win; nw > cl.win {
+			if cl.connGen == gen && cl.fw != nil {
+				if nw := n + win; win > 0 && nw > cl.win {
 					cl.win = nw
 				}
 				cl.pumpLocked()
@@ -523,18 +573,14 @@ func (cl *Client) ackReader(conn net.Conn, br *bufio.Reader, gen int) {
 	}
 }
 
-// pumpLocked pushes window-stalled backlog onto the wire after a credit
-// grant. Caller holds cl.mu with a live connection.
+// pumpLocked runs on every ack: it pushes as much window-stalled backlog as
+// the credit now allows onto the wire, along with anything Emit left in the
+// write buffer — so a client that only ever emits still delivers its tail
+// within one keepalive. Caller holds cl.mu with a live connection.
 func (cl *Client) pumpLocked() {
-	if cl.sent >= cl.total || cl.sent >= cl.sendLimitLocked() {
-		return
-	}
 	err := cl.sendRangeLocked(cl.sent, cl.sendLimitLocked())
-	if err == nil {
-		err = cl.fw.Flush()
-	}
-	if err == nil {
-		err = cl.bw.Flush()
+	if err == nil && cl.dirty {
+		err = cl.flushLocked()
 	}
 	if err != nil {
 		cl.dropConnLocked()
@@ -604,7 +650,7 @@ func (cl *Client) reconnectLoop() {
 				if rej.RetryAfter < 0 {
 					// Permanent refusal: retrying cannot help.
 					cl.mu.Lock()
-					cl.err = rej
+					cl.err = rej.terminal()
 					cl.reconnecting = false
 					cl.mu.Unlock()
 					if l := obs.Events(); l.Enabled(obs.LevelError) {
@@ -658,11 +704,7 @@ func (cl *Client) Flush() error {
 	if cl.fw == nil {
 		return nil
 	}
-	err := cl.fw.Flush()
-	if err == nil {
-		err = cl.bw.Flush()
-	}
-	if err != nil {
+	if cl.flushLocked() != nil {
 		cl.dropConnLocked()
 	}
 	return nil
@@ -724,10 +766,7 @@ func (cl *Client) Close() error {
 	var err error
 	abandoned := false
 	if cl.fw != nil {
-		err = cl.fw.Flush()
-		if err == nil {
-			err = cl.bw.Flush()
-		}
+		err = cl.flushLocked()
 		if err == nil && cl.sent < cl.total {
 			// The drain wait expired with records still stalled behind the
 			// credit window. They never reached the wire, so a graceful
@@ -781,6 +820,7 @@ func (cl *Client) Close() error {
 	close(cl.closedCh)
 	cl.wg.Wait()
 	cl.mu.Lock()
+	cl.closeSpillReaderLocked()
 	if cl.spillF != nil {
 		cl.spillF.Close()       //nolint:ioerr // spill is discard-only once the session is over
 		os.Remove(cl.spillPath) //nolint:ioerr // spill is discard-only once the session is over

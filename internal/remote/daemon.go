@@ -81,8 +81,11 @@ type DaemonOptions struct {
 	StreamQueueRecords int
 	// SegmentBytes is the segment rotation threshold. Default 4 MiB.
 	SegmentBytes int64
-	// Heartbeat is the TDBGACK cadence (durable count + credit window).
-	// Default 500ms; negative disables.
+	// Heartbeat is the idle keepalive cadence: how often a connection that
+	// earned no credit grant still gets a TDBGACK (durable count + credit
+	// window) as a liveness and resume-point signal. It does not bound
+	// throughput — credit follows durability (see ackSender). Default 500ms;
+	// negative disables the keepalive, not the credit grants.
 	Heartbeat time.Duration
 	// IdleTimeout drops a connection silent for this long. 0 disables.
 	IdleTimeout time.Duration
@@ -175,11 +178,14 @@ type session struct {
 	qdone chan struct{} // writer loop exited
 
 	// All mutable fields below are guarded by the daemon's mu.
-	gen        int      // connection generation; latest wins
-	conn       net.Conn // live connection, nil while disconnected
+	gen        int           // connection generation; latest wins
+	conn       net.Conn      // live connection, nil while disconnected
+	wake       chan struct{} // wakes the live connection's ackSender
 	state      sessionState
 	accepted   uint64 // records read off the wire since session birth
 	durable    uint64 // records flushed to segment files
+	advertised uint64 // durable count last acked on the live connection
+	grantEvery uint64 // durable advance that earns a credit grant (0: v2, none)
 	lastBytes  int64  // BytesWritten at last disk accounting
 	killReason string
 	incomplete string // finalize reason ("" = complete)
@@ -396,24 +402,28 @@ func (d *Daemon) serve() {
 			continue
 		}
 		d.conns[conn] = phaseHandshake
-		d.mu.Unlock()
-		m := metrics()
-		m.collConns.Inc()
-		m.collActive.Add(1)
 		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			err := d.handle(conn)
-			conn.Close() //nolint:ioerr // handler exit; session state carries any error
-			metrics().collActive.Add(-1)
-			d.mu.Lock()
-			delete(d.conns, conn)
-			if err != nil && !errors.Is(err, io.EOF) && !d.draining {
-				d.errs = append(d.errs, fmt.Errorf("remote: client %v: %w", conn.RemoteAddr(), err))
-			}
-			d.mu.Unlock()
-		}()
+		d.mu.Unlock()
+		go d.serveConn(conn)
 	}
+}
+
+// serveConn runs one registered connection (d.conns entry and d.wg count
+// taken by the caller) from handshake to teardown.
+func (d *Daemon) serveConn(conn net.Conn) {
+	defer d.wg.Done()
+	m := metrics()
+	m.collConns.Inc()
+	m.collActive.Add(1)
+	err := d.handle(conn)
+	conn.Close() //nolint:ioerr // handler exit; session state carries any error
+	m.collActive.Add(-1)
+	d.mu.Lock()
+	delete(d.conns, conn)
+	if err != nil && !errors.Is(err, io.EOF) && !d.draining {
+		d.errs = append(d.errs, fmt.Errorf("remote: client %v: %w", conn.RemoteAddr(), err))
+	}
+	d.mu.Unlock()
 }
 
 func (d *Daemon) bumpDeadline(conn net.Conn) {
@@ -429,9 +439,7 @@ func writeReject(conn net.Conn, reason string, retryAfter time.Duration) {
 	if retryAfter >= 0 {
 		ms = retryAfter.Milliseconds()
 	}
-	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	fmt.Fprintf(conn, "%s%s %d\n", rejPrefix, reason, ms)
-	conn.SetWriteDeadline(time.Time{})
+	writeLine(conn, fmt.Sprintf("%s%s %d\n", rejPrefix, reason, ms)) //nolint:ioerr // peer may already be gone; it retries and is refused again
 }
 
 // validSessionID enforces the charset that makes a session ID safe to use
@@ -495,7 +503,12 @@ func (d *Daemon) handle(conn net.Conn) error {
 		return fmt.Errorf("daemon requires v2/v3 handshake, got %q", strings.TrimSpace(line))
 	}
 
-	s, myGen, ack, rejReason, retryAfter := d.admit(conn, clientID, sessionID, numRanks)
+	win := uint64(d.opts.QueueRecords)
+	if legacyV2 {
+		win = 0 // windowing is v3-only; v2 acks carry a single field
+	}
+	wake := make(chan struct{}, 1)
+	s, myGen, ack, rejReason, retryAfter := d.admit(conn, wake, clientID, sessionID, numRanks, win)
 	if rejReason != "" {
 		metrics().sessRejected.Inc()
 		if l := obs.Events(); l.Enabled(obs.LevelWarn) {
@@ -506,20 +519,15 @@ func (d *Daemon) handle(conn net.Conn) error {
 		return nil
 	}
 	defer s.handlerWG.Done()
-	win := uint64(d.opts.QueueRecords)
-	if legacyV2 {
-		win = 0 // windowing is v3-only; v2 acks carry a single field
-	}
 	if err := writeAck(conn, ack, win); err != nil {
 		return fmt.Errorf("handshake ack: %w", err)
 	}
 
-	if d.opts.Heartbeat > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		d.wg.Add(1)
-		go d.heartbeat(conn, s, myGen, win, stop)
-	}
+	// From here on the ackSender is the connection's only writer.
+	stop := make(chan struct{})
+	defer close(stop)
+	d.wg.Add(1)
+	go d.ackSender(conn, s, myGen, win, wake, stop)
 
 	sc, err := trace.NewScanner(br)
 	if err != nil {
@@ -531,13 +539,21 @@ func (d *Daemon) handle(conn net.Conn) error {
 	for n := uint64(0); ; n++ {
 		d.bumpDeadline(conn)
 		rec, err := sc.Next()
-		if err == io.EOF {
-			// Clean end of stream at a frame boundary: the client closed the
-			// session. Finalize asynchronously (it waits for this handler).
-			d.goFinalize(s, "")
-			return nil
-		}
 		if err != nil {
+			d.mu.Lock()
+			killed := s.gen == myGen && s.state == sessKilled
+			d.mu.Unlock()
+			switch {
+			case killed:
+				// The peer hung up on a kill that is already being finalized
+				// as incomplete; a clean EOF here must not finalize it whole.
+				return nil
+			case err == io.EOF:
+				// Clean end of stream at a frame boundary: the client closed the
+				// session. Finalize asynchronously (it waits for this handler).
+				d.goFinalize(s, "")
+				return nil
+			}
 			if terr := d.idleDropped(conn, s, err); terr != nil {
 				return terr
 			}
@@ -545,13 +561,19 @@ func (d *Daemon) handle(conn net.Conn) error {
 			return fmt.Errorf("stream: %w", err)
 		}
 		d.mu.Lock()
+		if s.gen == myGen && s.state == sessKilled {
+			d.mu.Unlock()
+			lingerKilled(br)
+			return nil
+		}
 		if s.gen != myGen || s.state != sessActive || s.finalizing {
 			d.mu.Unlock()
-			return nil // superseded, killed, or finalizing
+			return nil // superseded or finalizing
 		}
 		if d.opts.SessionQuotaRecords > 0 && s.accepted >= d.opts.SessionQuotaRecords {
 			d.mu.Unlock()
 			d.killSession(s, QuotaSessionRecords)
+			lingerKilled(br)
 			return nil
 		}
 		s.accepted++
@@ -568,15 +590,24 @@ func (d *Daemon) handle(conn net.Conn) error {
 		}
 		metrics().sessQueueRecords.Add(1)
 		if n%128 == 127 && d.overByteQuota(s) {
-			return nil // killSession already notified the client
+			lingerKilled(br)
+			return nil
 		}
 	}
+}
+
+// lingerKilled keeps a killed session's connection readable until the peer
+// hangs up: closing a socket with unread bytes in its receive queue turns
+// the close into an RST, and an RST discards the TDBGQUO line before the
+// client reads it. The ackSender bounds the wait (killDrain).
+func lingerKilled(br *bufio.Reader) {
+	io.Copy(io.Discard, br) //nolint:errcheck // draining a dead session; any error ends the wait
 }
 
 // admit runs admission control under the daemon lock. On success it returns
 // the session, the connection generation, and the resume point; on refusal
 // it returns a reason token and retry-after (<0: permanent).
-func (d *Daemon) admit(conn net.Conn, clientID, sessionID string, numRanks int) (s *session, gen int, ack uint64, reject string, retryAfter time.Duration) {
+func (d *Daemon) admit(conn net.Conn, wake chan struct{}, clientID, sessionID string, numRanks int, win uint64) (s *session, gen int, ack uint64, reject string, retryAfter time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.draining {
@@ -590,6 +621,11 @@ func (d *Daemon) admit(conn net.Conn, clientID, sessionID string, numRanks int) 
 		// it as new would clobber the sealed store on disk.
 		return nil, 0, 0, r.reject, -1
 	}
+	if s := d.sessions[sessionID]; s != nil && s.state == sessKilled {
+		// Killed, finalize still in progress: the verdict is already final,
+		// so it outranks the retryable refusals below.
+		return nil, 0, 0, s.killReason, -1
+	}
 	if d.degraded {
 		// Disk trouble: refuse new sessions AND resumes with a retryable
 		// token. Read-side APIs keep serving; the probe re-opens admission
@@ -601,17 +637,13 @@ func (d *Daemon) admit(conn net.Conn, clientID, sessionID string, numRanks int) 
 		if s.state == sessDone || s.finalizing {
 			return nil, 0, 0, RejectClosed, -1
 		}
-		if s.state == sessKilled {
-			return nil, 0, 0, s.killReason, -1
-		}
 		if s.numRanks != numRanks {
 			return nil, 0, 0, RejectRankCount, -1
 		}
 		if prev := s.conn; prev != nil && prev != conn {
 			prev.Close() // latest connection wins //nolint:ioerr // superseded conn; the new connection owns the session
 		}
-		s.gen++
-		s.conn = conn
+		s.attachLocked(conn, wake, s.accepted, win)
 		d.conns[conn] = phaseStreaming
 		s.handlerWG.Add(1)
 		metrics().collResumes.Inc()
@@ -641,8 +673,7 @@ func (d *Daemon) admit(conn net.Conn, clientID, sessionID string, numRanks int) 
 		d.errs = append(d.errs, fmt.Errorf("remote: session %s: %w", sessionID, err))
 		return nil, 0, 0, RejectMaxSessions, d.opts.RetryAfter
 	}
-	s.gen = 1
-	s.conn = conn
+	s.attachLocked(conn, wake, 0, win)
 	d.conns[conn] = phaseStreaming
 	s.handlerWG.Add(1)
 	metrics().sessAdmitted.Inc()
@@ -651,7 +682,41 @@ func (d *Daemon) admit(conn net.Conn, clientID, sessionID string, numRanks int) 
 		l.Log(obs.LevelInfo, "daemon.admitted", obs.F("session", sessionID),
 			obs.F("client", clientID), obs.F("ranks", numRanks))
 	}
-	return s, 1, 0, "", 0
+	return s, s.gen, 0, "", 0
+}
+
+// attachLocked makes conn the session's live connection: a new generation,
+// its ackSender's wake channel, and the grant bookkeeping restarted from the
+// handshake's ack. A grant is earned per quarter window of durable advance.
+// Caller holds the daemon's mu.
+func (s *session) attachLocked(conn net.Conn, wake chan struct{}, ack, win uint64) {
+	s.gen++
+	s.conn = conn
+	s.wake = wake
+	s.advertised = ack
+	s.grantEvery = win / 4
+	if s.grantEvery == 0 && win > 0 {
+		s.grantEvery = 1
+	}
+}
+
+// publishDurableLocked records the writer's new durable count and wakes the
+// live connection's ackSender once the span the client has not been told
+// about reaches the grant threshold. Caller holds the daemon's mu.
+func (s *session) publishDurableLocked(durable uint64) {
+	s.durable = durable
+	if s.grantEvery > 0 && s.conn != nil && durable >= s.advertised+s.grantEvery {
+		wakeSender(s.wake)
+	}
+}
+
+// wakeSender nudges an ackSender without blocking; one pending wake is enough
+// because the sender re-reads the session state every time it runs.
+func wakeSender(wake chan struct{}) {
+	select {
+	case wake <- struct{}{}:
+	default:
+	}
 }
 
 // openSessionLocked creates the session directory, metadata, segment writer
@@ -773,7 +838,7 @@ func (d *Daemon) writerLoop(s *session) {
 			continue // broken disk: keep draining so the handler never wedges
 		}
 		d.mu.Lock()
-		s.durable = uint64(s.gw.Count())
+		s.publishDurableLocked(uint64(s.gw.Count()))
 		d.mu.Unlock()
 		d.accountDisk(s)
 		d.overByteQuota(s)
@@ -790,7 +855,7 @@ func (d *Daemon) writerLoop(s *session) {
 		return
 	}
 	d.mu.Lock()
-	s.durable = uint64(s.gw.Count())
+	s.publishDurableLocked(uint64(s.gw.Count()))
 	d.mu.Unlock()
 	d.accountDisk(s)
 }
@@ -828,8 +893,9 @@ func (d *Daemon) overByteQuota(s *session) bool {
 }
 
 // killSession terminates a session for quota exhaustion: the client gets a
-// terminal TDBGQUO line, the connection is severed, and the session is
-// finalized (everything accepted so far stays durable, marked incomplete).
+// terminal TDBGQUO line, the connection is shut down once the client has had
+// time to read it, and the session is finalized (everything accepted so far
+// stays durable, marked incomplete).
 func (d *Daemon) killSession(s *session, reason string) {
 	if !d.terminate(s, reason) {
 		return
@@ -842,23 +908,20 @@ func (d *Daemon) killSession(s *session, reason string) {
 	d.goFinalize(s, "quota exceeded: "+reason)
 }
 
-// terminate moves an active session to the killed state and severs its client
-// with a terminal TDBGQUO line. Returns false if the session already left the
-// active state (a concurrent kill or finalize won).
+// terminate moves an active session to the killed state and hands the kill
+// to the live connection's ackSender, which delivers the terminal TDBGQUO
+// line in order behind any ack it is writing. Returns false if the session
+// already left the active state (a concurrent kill or finalize won).
 func (d *Daemon) terminate(s *session, reason string) bool {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if s.state != sessActive {
-		d.mu.Unlock()
 		return false
 	}
 	s.state = sessKilled
 	s.killReason = reason
-	conn := s.conn
-	d.mu.Unlock()
-	if conn != nil {
-		conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-		fmt.Fprintf(conn, "%s%s\n", quoPrefix, reason) //nolint:ioerr // peer may already be gone
-		conn.Close()                                   //nolint:ioerr // peer may already be gone; the kill is recorded server-side
+	if s.conn != nil {
+		wakeSender(s.wake)
 	}
 	return true
 }
@@ -1016,8 +1079,11 @@ func (d *Daemon) finalizeSession(s *session, incompleteReason string) {
 	d.mu.Lock()
 	conn := s.conn
 	s.conn = nil
+	killed := s.state == sessKilled
 	d.mu.Unlock()
-	if conn != nil {
+	if conn != nil && !killed {
+		// A killed session's connection belongs to its ackSender, which
+		// closes it once the peer has drained the kill line (or killDrain).
 		conn.Close() //nolint:ioerr // network teardown; durability is decided by the session store
 	}
 	s.handlerWG.Wait()
@@ -1104,48 +1170,120 @@ func (d *Daemon) retireLocked(id string, r *retiredSession) {
 	}
 }
 
+// ackWriteTimeout bounds one daemon→client line write. It is deliberately
+// not derived from the keepalive cadence: a short cadence must not turn a
+// scheduling hiccup into a failed write.
+const ackWriteTimeout = 2 * time.Second
+
+// killDrain bounds how long a killed session's connection stays half-open
+// waiting for the peer to read the kill line and hang up.
+const killDrain = 2 * time.Second
+
 // writeAck sends one acknowledgement line: "TDBGACK <n> <win>" for windowed
 // (v3) connections, the one-field v2 form when win is zero — pre-window v2
 // binaries parse exactly one field.
 func writeAck(conn net.Conn, n, win uint64) error {
-	var err error
-	if win > 0 {
-		_, err = fmt.Fprintf(conn, "%s%d %d\n", ackPrefix, n, win)
-	} else {
-		_, err = fmt.Fprintf(conn, "%s%d\n", ackPrefix, n)
+	if win == 0 {
+		return writeLine(conn, fmt.Sprintf("%s%d\n", ackPrefix, n))
 	}
+	return writeLine(conn, fmt.Sprintf("%s%d %d\n", ackPrefix, n, win))
+}
+
+// writeLine writes one protocol line under ackWriteTimeout.
+func writeLine(conn net.Conn, line string) error {
+	conn.SetWriteDeadline(time.Now().Add(ackWriteTimeout))
+	_, err := io.WriteString(conn, line)
+	conn.SetWriteDeadline(time.Time{})
 	return err
 }
 
-// heartbeat sends acknowledgement lines on the daemon cadence: durable is
-// the resume point, win the credit window (0 on v2 connections, which get
-// the one-field form). It stops when the connection is superseded or the
-// session leaves the active state.
-func (d *Daemon) heartbeat(conn net.Conn, s *session, myGen int, win uint64, stop <-chan struct{}) {
+// ackSender is the only writer on a streaming connection after the
+// handshake, so acks and the terminal kill line reach the client in order.
+//
+// Credit follows durability: the session's writer wakes the sender as soon
+// as the durable count is a quarter window past the last one advertised
+// (publishDurableLocked), and the sender answers with "TDBGACK durable win".
+// That is the HTTP/2 window-update rule, and it cannot deadlock: a client is
+// only ever stalled with a full window in flight beyond the last advertised
+// count, and a full window becoming durable crosses a quarter of it. The
+// ticker is the idle keepalive — liveness and a fresh resume point for
+// connections that earn no grant — and the only ack source for windowless v2
+// peers.
+//
+// A failed ack write is fatal to the connection, not just to the sender: a
+// connection that stays open with nobody granting credit wedges both ends
+// ("connected, err=nil" forever), so the sender closes it and the client's
+// ackReader reconnects and resumes from accepted.
+func (d *Daemon) ackSender(conn net.Conn, s *session, myGen int, win uint64, wake <-chan struct{}, stop <-chan struct{}) {
 	defer d.wg.Done()
-	tick := time.NewTicker(d.opts.Heartbeat)
-	defer tick.Stop()
+	var keepalive <-chan time.Time
+	if d.opts.Heartbeat > 0 {
+		tick := time.NewTicker(d.opts.Heartbeat)
+		defer tick.Stop()
+		keepalive = tick.C
+	}
 	for {
 		select {
 		case <-stop:
 			return
-		case <-tick.C:
+		case <-wake:
+		case <-keepalive:
 		}
 		d.mu.Lock()
+		mine := s.gen == myGen
+		state, reason := s.state, s.killReason
+		live := mine && s.conn == conn && state == sessActive
 		durable := s.durable
-		stale := s.gen != myGen || s.conn != conn || s.state != sessActive
+		if live {
+			s.advertised = durable
+		}
 		d.mu.Unlock()
-		if stale {
+		if mine && state == sessKilled {
+			d.sendKill(conn, reason, stop)
 			return
 		}
-		conn.SetWriteDeadline(time.Now().Add(d.opts.Heartbeat * 4))
-		err := writeAck(conn, durable, win)
-		conn.SetWriteDeadline(time.Time{})
-		if err != nil {
-			return // the reader side will notice the broken connection
+		if !live {
+			return // superseded, or finalizing closed the connection
+		}
+		if err := writeAck(conn, durable, win); err != nil {
+			d.ackWriteFailed(conn, s, myGen, err)
+			return
 		}
 		metrics().collHeartbeats.Inc()
 	}
+}
+
+// sendKill delivers the terminal TDBGQUO line, half-closes so the line is
+// followed by a FIN rather than overtaken by an RST, and gives the peer
+// killDrain to hang up (the handler lingers reading meanwhile) before the
+// connection is closed under it.
+func (d *Daemon) sendKill(conn net.Conn, reason string, stop <-chan struct{}) {
+	writeLine(conn, quoPrefix+reason+"\n") //nolint:ioerr // peer may already be gone; the kill is recorded server-side
+	if hc, ok := conn.(interface{ CloseWrite() error }); ok {
+		hc.CloseWrite() //nolint:ioerr // peer may already be gone
+	}
+	t := time.NewTimer(killDrain)
+	defer t.Stop()
+	select {
+	case <-stop:
+	case <-t.C:
+		conn.Close() //nolint:ioerr // peer never hung up; the kill is recorded server-side
+	}
+}
+
+// ackWriteFailed closes a connection whose ack could not be written. The
+// sender is gone after this, so the connection must go with it whatever
+// state the session has moved to meanwhile; only the warning is kept for
+// writes that did not merely lose a race with the connection's own teardown.
+func (d *Daemon) ackWriteFailed(conn net.Conn, s *session, myGen int, err error) {
+	d.mu.Lock()
+	live := s.gen == myGen && s.conn == conn && s.state == sessActive && !s.finalizing
+	d.mu.Unlock()
+	if l := obs.Events(); live && l.Enabled(obs.LevelWarn) {
+		l.Log(obs.LevelWarn, "daemon.ack_write_failed",
+			obs.F("session", s.id), obs.F("err", err.Error()))
+	}
+	conn.Close() //nolint:ioerr // unusable for acks; the client resumes on a new connection
 }
 
 // idleDropped classifies a read error as the idle-timeout deadline firing.

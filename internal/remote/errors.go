@@ -40,3 +40,16 @@ type ErrQuotaExceeded struct {
 func (e *ErrQuotaExceeded) Error() string {
 	return fmt.Sprintf("remote: session quota exceeded: %s", e.Reason)
 }
+
+// terminal is the error a permanent refusal ends a session with. A resume
+// refused with a kill reason is the same verdict the in-band TDBGQUO line
+// carries — the line was merely lost to the outage that caused the resume —
+// so it surfaces as the same type: one cause, one error, whichever message
+// delivered it.
+func (e *ErrRejected) terminal() error {
+	switch e.Reason {
+	case QuotaSessionBytes, QuotaSessionRecords, QuotaDiskBudget, KillDiskError:
+		return &ErrQuotaExceeded{Reason: e.Reason}
+	}
+	return e
+}

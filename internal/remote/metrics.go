@@ -88,7 +88,7 @@ func newRemoteMetrics(r *obs.Registry) *remoteMetrics {
 		collIdleDrops: r.Counter("tracedbg_remote_collector_idle_drops_total",
 			"connections dropped for exceeding the idle timeout"),
 		collHeartbeats: r.Counter("tracedbg_remote_collector_heartbeats_sent_total",
-			"TDBGACK heartbeat lines sent to v2 clients"),
+			"TDBGACK lines sent after the handshake: credit grants and idle keepalives"),
 		sessActive: r.Gauge("tracedbg_collector_sessions_active",
 			"sessions currently admitted and not yet finalized on the daemon"),
 		sessAdmitted: r.Counter("tracedbg_collector_sessions_admitted_total",

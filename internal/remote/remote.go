@@ -29,8 +29,9 @@
 // "TDBGREMOTE3 <numRanks> <clientID> <sessionID>\n" — and the collector's
 // replies gain resource governance:
 //
-//	TDBGACK <n> <win>\n   admission/heartbeat: n records durable, the client
-//	                      may have at most win records in flight beyond n
+//	TDBGACK <n> <win>\n   admission, credit grant or keepalive: n records
+//	                      durable, the client may have at most win records
+//	                      in flight beyond n
 //	TDBGREJ <reason> <retryAfterMs>\n   admission refused; retryAfterMs < 0
 //	                      means permanent (do not retry)
 //	TDBGQUO <reason>\n    terminal mid-session quota kill

@@ -9,10 +9,14 @@
 # the self-observability metrics of a representative tanalyze run — so each
 # baseline records not just how fast the pipeline was but how much work
 # (records written, chunks flushed, ranks pruned, ...) the numbers represent.
-# The default output is BENCH_PR10.json at the repo root — the checked-in
-# baseline for the persistent-index PR (sidecar indexes, query planner,
-# cold indexed queries); regenerate it when the pipeline changes materially
-# and mention the delta in the PR.
+# The default output is BENCH_PR13.json at the repo root — the checked-in
+# baseline for the durable-driven-credit PR (DaemonIngest now runs at shipped
+# defaults); regenerate it when the pipeline changes materially and mention
+# the delta in the PR.
+#
+# BENCH_BEFORE=<file> names raw `go test -bench` output captured on the
+# parent commit; its results are recorded beside the new ones under
+# "<name>@parent", so a baseline that moves a number carries its own before.
 #
 # With -profile, CPU and allocation profiles of the write, load, and query
 # benchmark groups are additionally captured into bench-profiles/ (one
@@ -31,7 +35,8 @@ if [ "${1:-}" = "-profile" ]; then
     profile=1
     shift
 fi
-out="${1:-BENCH_PR10.json}"
+out="${1:-BENCH_PR13.json}"
+before="${BENCH_BEFORE:-/dev/null}"
 benchtime="${BENCHTIME:-1s}"
 
 raw="$(mktemp)"
@@ -87,10 +92,11 @@ fi
 # counters land in the same JSON as the timings they contextualize.
 go run ./cmd/tanalyze -app strassen -ranks 8 -size 16 -stats-json "$snap" > /dev/null
 
-awk '
+awk -v before="$before" '
 BEGIN { print "{"; first = 1 }
 /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name)
+    if (FILENAME == before) name = name "@parent"
     if (!first) printf ",\n"
     first = 0
     printf "  \"%s\": {\"iterations\": %s, \"ns_per_op\": %s", name, $2, $3
@@ -109,7 +115,7 @@ END {
     printf "  \"_meta\": {\"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\"},\n",
         goos, goarch, cpu
     printf "  \"obs_snapshot\":\n"
-}' "$raw" > "$out"
+}' "$raw" "$before" > "$out"
 
 sed 's/^/  /' "$snap" >> "$out"
 echo "}" >> "$out"
