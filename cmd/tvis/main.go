@@ -174,7 +174,7 @@ func run(in, app string, ranks, size, iters int, seed int64, mode, out string,
 	case "commgraph":
 		text = graph.BuildCommGraph(tr).DOT()
 	case "callgraph":
-		g := graph.FromTraceParallel(tr, 0)
+		g := graph.FromTrace(tr, 0)
 		text = g.Project(rank).VCG()
 	default:
 		return fmt.Errorf("unknown mode %q", mode)

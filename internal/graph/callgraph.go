@@ -42,16 +42,12 @@ func (g *TraceGraph) Project(rank int) *CallGraph {
 	}
 
 	// Deterministic node numbering: walk source nodes in id order.
-	froms := make([]NodeID, 0, len(g.arcs))
-	for from := range g.arcs {
-		froms = append(froms, from)
-	}
-	sort.Slice(froms, func(i, j int) bool { return froms[i] < froms[j] })
-	for _, from := range froms {
-		if g.nodes[int(from)].Kind != FunctionNode || g.nodes[int(from)].Rank != rank {
+	for id, list := range g.out {
+		from := NodeID(id)
+		if g.nodes[id].Kind != FunctionNode || g.nodes[id].Rank != rank {
 			continue
 		}
-		for _, a := range g.arcs[from] {
+		for _, a := range list {
 			if a.Kind != CallArc {
 				continue
 			}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -23,13 +22,8 @@ func (g *TraceGraph) DOT() string {
 			fmt.Fprintf(&sb, "  n%d [shape=diamond label=%q];\n", n.ID, n.Label())
 		}
 	}
-	var ids []NodeID
-	for id := range g.arcs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		for _, a := range g.arcs[id] {
+	for _, list := range g.out {
+		for _, a := range list {
 			attrs := []string{}
 			switch a.Kind {
 			case SendArc:
@@ -74,19 +68,10 @@ func (g *TraceGraph) Text() string {
 			chans++
 		}
 	}
-	arcs := 0
-	for _, list := range g.arcs {
-		arcs += len(list)
-	}
 	fmt.Fprintf(&sb, "trace graph: %d function nodes, %d channel nodes, %d arcs (%d merges)\n",
-		funcs, chans, arcs, g.merges)
-	var ids []NodeID
-	for id := range g.arcs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		for _, a := range g.arcs[id] {
+		funcs, chans, g.arcCountLocked(), g.merges)
+	for _, list := range g.out {
+		for _, a := range list {
 			from := g.nodes[int(a.From)]
 			to := g.nodes[int(a.To)]
 			fmt.Fprintf(&sb, "  %s -[%s x%d]-> %s (markers %d..%d)\n",

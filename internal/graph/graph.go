@@ -11,7 +11,6 @@ package graph
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"tracedbg/internal/trace"
@@ -109,22 +108,27 @@ type TraceGraph struct {
 	numRanks int
 	limit    int // dissemination threshold (0 = unbounded)
 
-	nodes   []Node
-	byKey   map[nodeKey]NodeID
-	arcs    map[NodeID][]*Arc // arcs grouped by their *source* node
-	inCount map[NodeID]int    // incident (in+out) arc count per node
+	nodes []Node
+	byKey map[nodeKey]NodeID
+
+	// Arc bookkeeping. out, inc and srcs are indexed by NodeID and grow with
+	// nodes; all four are kept current at every insert and every pairwise
+	// merge, so a dissemination round never recounts.
+	out   [][]*Arc        // arcs grouped by their *source* node
+	inc   []int           // incident (in+out) arc count per node
+	srcs  [][]NodeID      // distinct other nodes with an arc into this one
+	pairs map[arcPair]int // arcs currently stored per (from, to)
+
+	scratch []*Arc // disseminateLocked's partition buffer, reused
 
 	stacks  [][]NodeID // per-rank call stacks
 	roots   []NodeID   // per-rank synthetic program node
 	merges  int        // dissemination rounds performed
 	dropped int        // events folded into merged arcs
-
-	// trackOrder keeps arcs in insertion order for the parallel builder's
-	// merge replay. Only meaningful with limit == 0: dissemination mutates
-	// and drops arcs, which would invalidate the log.
-	trackOrder bool
-	order      []*Arc
+	visited int        // arcs walked by dissemination rounds
 }
+
+type arcPair struct{ from, to NodeID }
 
 type nodeKey struct {
 	kind NodeKind
@@ -141,8 +145,7 @@ func New(numRanks, limit int) *TraceGraph {
 		numRanks: numRanks,
 		limit:    limit,
 		byKey:    make(map[nodeKey]NodeID),
-		arcs:     make(map[NodeID][]*Arc),
-		inCount:  make(map[NodeID]int),
+		pairs:    make(map[arcPair]int),
 		stacks:   make([][]NodeID, numRanks),
 		roots:    make([]NodeID, numRanks),
 	}
@@ -233,10 +236,7 @@ func (g *TraceGraph) funcNodeLocked(rank int, name string) NodeID {
 	if id, ok := g.byKey[key]; ok {
 		return id
 	}
-	id := NodeID(len(g.nodes))
-	g.nodes = append(g.nodes, Node{ID: id, Kind: FunctionNode, Rank: rank, Name: name})
-	g.byKey[key] = id
-	return id
+	return g.newNodeLocked(key, Node{Kind: FunctionNode, Rank: rank, Name: name})
 }
 
 func (g *TraceGraph) channelNodeLocked(a, b int) NodeID {
@@ -247,24 +247,33 @@ func (g *TraceGraph) channelNodeLocked(a, b int) NodeID {
 	if id, ok := g.byKey[key]; ok {
 		return id
 	}
-	id := NodeID(len(g.nodes))
-	g.nodes = append(g.nodes, Node{ID: id, Kind: ChannelNode, Rank: trace.NoRank, A: a, B: b})
-	g.byKey[key] = id
-	return id
+	return g.newNodeLocked(key, Node{Kind: ChannelNode, Rank: trace.NoRank, A: a, B: b})
+}
+
+func (g *TraceGraph) newNodeLocked(key nodeKey, n Node) NodeID {
+	n.ID = NodeID(len(g.nodes))
+	g.nodes = append(g.nodes, n)
+	g.byKey[key] = n.ID
+	g.out = append(g.out, nil)
+	g.inc = append(g.inc, 0)
+	g.srcs = append(g.srcs, nil)
+	return n.ID
 }
 
 func (g *TraceGraph) addArcLocked(a *Arc) {
-	g.arcs[a.From] = append(g.arcs[a.From], a)
-	g.inCount[a.From]++
-	g.inCount[a.To]++
-	if g.trackOrder {
-		g.order = append(g.order, a)
+	g.out[a.From] = append(g.out[a.From], a)
+	g.inc[a.From]++
+	g.inc[a.To]++
+	p := arcPair{a.From, a.To}
+	if g.pairs[p] == 0 && a.From != a.To {
+		g.srcs[a.To] = append(g.srcs[a.To], a.From)
 	}
+	g.pairs[p]++
 	if g.limit > 0 {
-		if g.inCount[a.From] > g.limit {
+		if g.inc[a.From] > g.limit {
 			g.disseminateLocked(a.From)
 		}
-		if g.inCount[a.To] > g.limit {
+		if g.inc[a.To] > g.limit {
 			g.disseminateLocked(a.To)
 		}
 	}
@@ -276,73 +285,75 @@ func (g *TraceGraph) addArcLocked(a *Arc) {
 // bounded size. Only arcs with identical signature (endpoints, kind, tag)
 // are merged so the graph's structure is preserved; the marker interval of
 // the merged arc widens to cover both, and zooming re-reads the trace file.
+//
+// A round rewrites n's own out-list and the out-list of each source that
+// holds at least two arcs into n, and nothing else: its cost is the length
+// of those lists.
 func (g *TraceGraph) disseminateLocked(n NodeID) {
-	merge := func(list []*Arc) []*Arc {
-		out := list[:0]
-		i := 0
-		for i < len(list) {
-			cur := list[i]
-			if i+1 < len(list) && cur.sameSignature(list[i+1]) {
-				nxt := list[i+1]
-				cur.Count += nxt.Count
-				if nxt.FirstSeq < cur.FirstSeq {
-					cur.FirstSeq = nxt.FirstSeq
-				}
-				if nxt.LastSeq > cur.LastSeq {
-					cur.LastSeq = nxt.LastSeq
-				}
-				cur.MsgIDs = append(cur.MsgIDs, nxt.MsgIDs...)
-				if len(cur.MsgIDs) > maxArcMsgIDs {
-					cur.MsgIDs = cur.MsgIDs[:maxArcMsgIDs]
-					cur.Truncated = true
-				}
-				cur.Truncated = cur.Truncated || nxt.Truncated
-				g.dropped++
-				i += 2
-			} else {
-				i++
-			}
-			out = append(out, cur)
-		}
-		return out
-	}
-
 	// Arcs out of n.
-	g.arcs[n] = merge(g.arcs[n])
+	g.out[n] = g.mergeLocked(g.out[n])
 
 	// Arcs into n live in other nodes' out-lists; merge those that target n.
-	for from, list := range g.arcs {
-		if from == n {
+	// Each such list is stably partitioned in place into the arcs going
+	// elsewhere followed by the merged arcs into n.
+	for _, from := range g.srcs[n] {
+		if g.pairs[arcPair{from, n}] < 2 {
 			continue
 		}
-		var targeting []*Arc
-		var others []*Arc
+		list := g.out[from]
+		others, into := list[:0], g.scratch[:0]
 		for _, a := range list {
 			if a.To == n {
-				targeting = append(targeting, a)
+				into = append(into, a)
 			} else {
 				others = append(others, a)
 			}
 		}
-		if len(targeting) < 2 {
-			continue
-		}
-		targeting = merge(targeting)
-		g.arcs[from] = append(others, targeting...)
-	}
-
-	// Merging changed incidence at n and at every peer; recompute. The
-	// dissemination threshold makes this rare, so the O(arcs) sweep is fine.
-	for id := range g.inCount {
-		g.inCount[id] = 0
-	}
-	for _, list := range g.arcs {
-		for _, a := range list {
-			g.inCount[a.From]++
-			g.inCount[a.To]++
-		}
+		g.visited += len(list)
+		g.scratch = into[:0]
+		into = g.mergeLocked(into)
+		g.out[from] = append(others, into...)
+		clear(list[len(g.out[from]):])
 	}
 	g.merges++
+}
+
+// mergeLocked folds each adjacent equal-signature pair of list into its
+// first arc, in place, and keeps the incidence and pair counts in step.
+func (g *TraceGraph) mergeLocked(list []*Arc) []*Arc {
+	g.visited += len(list)
+	out := list[:0]
+	i := 0
+	for i < len(list) {
+		cur := list[i]
+		if i+1 < len(list) && cur.sameSignature(list[i+1]) {
+			nxt := list[i+1]
+			cur.Count += nxt.Count
+			if nxt.FirstSeq < cur.FirstSeq {
+				cur.FirstSeq = nxt.FirstSeq
+			}
+			if nxt.LastSeq > cur.LastSeq {
+				cur.LastSeq = nxt.LastSeq
+			}
+			ids := nxt.MsgIDs
+			if room := maxArcMsgIDs - len(cur.MsgIDs); len(ids) > room {
+				ids = ids[:room]
+				cur.Truncated = true
+			}
+			cur.MsgIDs = append(cur.MsgIDs, ids...)
+			cur.Truncated = cur.Truncated || nxt.Truncated
+			g.inc[cur.From]--
+			g.inc[cur.To]--
+			g.pairs[arcPair{cur.From, cur.To}]--
+			g.dropped++
+			i += 2
+		} else {
+			i++
+		}
+		out = append(out, cur)
+	}
+	clear(list[len(out):])
+	return out
 }
 
 // Nodes returns a snapshot of all nodes.
@@ -383,12 +394,17 @@ func (g *TraceGraph) ChannelNodeID(a, b int) (NodeID, bool) {
 	return id, ok
 }
 
-// OutArcs returns copies of the arcs leaving a node.
+// OutArcs returns copies of the arcs leaving a node: none for an id the
+// graph does not have.
 func (g *TraceGraph) OutArcs(id NodeID) []Arc {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]Arc, 0, len(g.arcs[id]))
-	for _, a := range g.arcs[id] {
+	var list []*Arc
+	if id >= 0 && int(id) < len(g.out) {
+		list = g.out[id]
+	}
+	out := make([]Arc, 0, len(list))
+	for _, a := range list {
 		out = append(out, *a)
 	}
 	return out
@@ -398,16 +414,9 @@ func (g *TraceGraph) OutArcs(id NodeID) []Arc {
 func (g *TraceGraph) Arcs() []Arc {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	ids := make([]NodeID, 0, len(g.arcs))
-	n := 0
-	for id, list := range g.arcs {
-		ids = append(ids, id)
-		n += len(list)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]Arc, 0, n)
-	for _, id := range ids {
-		for _, a := range g.arcs[id] {
+	out := make([]Arc, 0, g.arcCountLocked())
+	for _, list := range g.out {
+		for _, a := range list {
 			out = append(out, *a)
 		}
 	}
@@ -418,8 +427,12 @@ func (g *TraceGraph) Arcs() []Arc {
 func (g *TraceGraph) ArcCount() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	return g.arcCountLocked()
+}
+
+func (g *TraceGraph) arcCountLocked() int {
 	n := 0
-	for _, list := range g.arcs {
+	for _, list := range g.out {
 		n += len(list)
 	}
 	return n
@@ -431,7 +444,7 @@ func (g *TraceGraph) EventCount() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	n := 0
-	for _, list := range g.arcs {
+	for _, list := range g.out {
 		for _, a := range list {
 			n += a.Count
 		}

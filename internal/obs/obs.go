@@ -123,7 +123,7 @@ func (r *Registry) ShardedGauge(name, help string) *ShardedGauge {
 }
 
 // Histogram registers (or returns) a histogram over non-negative integer
-// values with power-of-two buckets (observe = three atomic adds).
+// values with power-of-two buckets (observe = two atomic adds).
 func (r *Registry) Histogram(name, help string) *Histogram {
 	return register(r, name, func() *Histogram { return &Histogram{info: info{name, help}} })
 }
@@ -326,27 +326,30 @@ const histBuckets = 65
 // Histogram records a distribution of non-negative integer values.
 type Histogram struct {
 	info
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
 }
 
-// Observe records one value: three atomic adds.
+// Observe records one value: two atomic adds.
 func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
 	h.buckets[bits.Len64(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
-// Count returns the number of observations.
+// Count returns the number of observations: the sum of the buckets, so it
+// can never disagree with them.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
 }
 
 // Sum returns the sum of observed values.
@@ -359,20 +362,21 @@ func (h *Histogram) Sum() uint64 {
 
 func (h *Histogram) meta() info { return h.info }
 func (h *Histogram) snap(dst []MetricSnapshot) []MetricSnapshot {
-	ms := MetricSnapshot{Name: h.name, Help: h.help, Type: TypeHistogram,
-		Count: h.count.Load(), Sum: float64(h.sum.Load())}
+	ms := MetricSnapshot{Name: h.name, Help: h.help, Type: TypeHistogram, Sum: float64(h.sum.Load())}
+	// Each bucket is loaded once, and Count is their total: the exposition's
+	// _count is its +Inf bucket even while writers are observing.
+	var counts [histBuckets]uint64
 	top := 0
-	for i := 0; i < histBuckets; i++ {
-		if h.buckets[i].Load() != 0 {
+	for i := range counts {
+		if counts[i] = h.buckets[i].Load(); counts[i] != 0 {
 			top = i
 		}
 	}
-	var cum uint64
 	for i := 0; i <= top; i++ {
-		cum += h.buckets[i].Load()
+		ms.Count += counts[i]
 		// Upper bound of bucket i is 2^i - 1 (bucket 0 holds only zeros).
 		le := uint64(1)<<uint(i) - 1
-		ms.Buckets = append(ms.Buckets, Bucket{LE: float64(le), Count: cum})
+		ms.Buckets = append(ms.Buckets, Bucket{LE: float64(le), Count: ms.Count})
 	}
 	return append(dst, ms)
 }

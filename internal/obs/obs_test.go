@@ -135,8 +135,8 @@ func TestSnapshotDuringWrites(t *testing.T) {
 				}
 				cum = b.Count
 			}
-			if cum > hm.Count {
-				t.Fatalf("bucket cum %d exceeds count %d", cum, hm.Count)
+			if cum != hm.Count {
+				t.Fatalf("top bucket %d is not the count %d", cum, hm.Count)
 			}
 		}
 	}

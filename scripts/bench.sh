@@ -9,10 +9,10 @@
 # the self-observability metrics of a representative tanalyze run — so each
 # baseline records not just how fast the pipeline was but how much work
 # (records written, chunks flushed, ranks pruned, ...) the numbers represent.
-# The default output is BENCH_PR13.json at the repo root — the checked-in
-# baseline for the durable-driven-credit PR (DaemonIngest now runs at shipped
-# defaults); regenerate it when the pipeline changes materially and mention
-# the delta in the PR.
+# The default output is BENCH_PR15.json at the repo root — the checked-in
+# baseline for the indexed-dissemination PR (GraphFromTraceSerial now runs at
+# the full benchEvents); regenerate it when the pipeline changes materially
+# and mention the delta in the PR.
 #
 # BENCH_BEFORE=<file> names raw `go test -bench` output captured on the
 # parent commit; its results are recorded beside the new ones under
@@ -35,7 +35,7 @@ if [ "${1:-}" = "-profile" ]; then
     profile=1
     shift
 fi
-out="${1:-BENCH_PR13.json}"
+out="${1:-BENCH_PR15.json}"
 before="${BENCH_BEFORE:-/dev/null}"
 benchtime="${BENCHTIME:-1s}"
 
