@@ -41,6 +41,16 @@ func TestMatchTrackerOnline(t *testing.T) {
 	if !strings.Contains(rep, "1 matched") || !strings.Contains(rep, "unmatched recv") {
 		t.Errorf("report:\n%s", rep)
 	}
+	// Online, the receiver's record can reach the tracker before the
+	// sender's: the late send pairs with it, neither stays unmatched.
+	late := trace.Record{Kind: trace.KindSend, Rank: 0, Src: 0, Dst: 1, MsgID: 99}
+	tr.Emit(&late)
+	if got := tr.UnmatchedSends(); len(got) != 0 {
+		t.Fatalf("send reported after its receive stays unmatched: %v", got)
+	}
+	if got := tr.UnmatchedRecvs(); len(got) != 1 || tr.Matched() != 2 {
+		t.Fatalf("after the late send: unmatched recvs = %v, matched = %d", got, tr.Matched())
+	}
 }
 
 // stalledTrace runs a deliberately deadlocked program (crossed receives)

@@ -39,6 +39,16 @@ func (t *MatchTracker) Emit(rec *trace.Record) {
 	switch rec.Kind {
 	case trace.KindSend:
 		t.totalSends++
+		// Records are emitted when an operation completes, each rank on its
+		// own goroutine: a blocked receiver can complete, and report, before
+		// the sender that released it does.
+		for i := range t.orphanRecvs {
+			if t.orphanRecvs[i].MsgID == rec.MsgID {
+				t.orphanRecvs = append(t.orphanRecvs[:i], t.orphanRecvs[i+1:]...)
+				t.matched++
+				return
+			}
+		}
 		t.pendingSends[rec.MsgID] = *rec
 	case trace.KindRecv:
 		t.totalRecvs++

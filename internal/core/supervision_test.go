@@ -13,9 +13,13 @@ import (
 // online unmatched list and the mailbox inspection show a message in
 // flight while the receiver has not yet consumed it.
 func TestLiveSupervision(t *testing.T) {
+	// A live launch starts the ranks before the test can set breakpoints;
+	// the body waits until they are armed, or a rank may run past its line.
+	armed := make(chan struct{})
 	tgt := debug.Target{
 		Cfg: mp.Config{NumRanks: 2},
 		Body: func(c *instr.Ctx) {
+			<-armed
 			defer c.Fn(instr.Loc("sup.go", 1, "main"))()
 			if c.Rank() == 0 {
 				c.Send(1, 5, []byte("in-flight"))
@@ -35,6 +39,7 @@ func TestLiveSupervision(t *testing.T) {
 	}
 	s.BreakAt("sup.go", 3)  // rank 0 after the first send
 	s.BreakAt("sup.go", 10) // rank 1 before any receive
+	close(armed)
 	if _, err := s.WaitAllStopped(tmo); err != nil {
 		t.Fatal(err)
 	}

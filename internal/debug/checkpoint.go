@@ -41,13 +41,9 @@ func (s *Session) ReplayFromSnapshot(snap replay.Snapshot, stops replay.StopSet)
 	tgt := s.tgt
 	tgt.ExtraSinks = nil
 	tgt.Body = s.tgt.BodyFor(&snap)
-	ns, err := launch(tgt, enf)
-	if err != nil {
-		return nil, err
-	}
-	ns.markerBase = append([]uint64(nil), snap.Markers...)
+	var rel replay.StopSet
 	if stops != nil {
-		rel := make(replay.StopSet, n)
+		rel = make(replay.StopSet, n)
 		for r := 0; r < n; r++ {
 			rel[r] = trace.Marker{Rank: r}
 			if seq := stops.Seq(r); seq > snap.Markers[r] {
@@ -56,9 +52,8 @@ func (s *Session) ReplayFromSnapshot(snap replay.Snapshot, stops replay.StopSet)
 			// seq <= snapshot marker: the rank is already at or past the
 			// target; stop at its first event (threshold 1 via SetStopSet).
 		}
-		ns.SetStopSet(rel)
 	}
-	return ns, nil
+	return launch(tgt, enf, rel, append([]uint64(nil), snap.Markers...))
 }
 
 // AbsoluteCounters returns the session's marker vector in the coordinates

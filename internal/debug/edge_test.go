@@ -13,11 +13,9 @@ import (
 func TestThresholdBeyondEndJustFinishes(t *testing.T) {
 	// A stop marker past the rank's final counter: the rank finishes
 	// without stopping instead of hanging.
-	s, err := Launch(pingPongTarget(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetStopSet(replay.StopSet{{Rank: 0, Seq: 10_000}, {Rank: 1, Seq: 10_000}})
+	s := launchArmed(t, pingPongTarget(2), func(s *Session) {
+		s.SetStopSet(replay.StopSet{{Rank: 0, Seq: 10_000}, {Rank: 1, Seq: 10_000}})
+	})
 	if _, err := s.WaitStop(0, 2*time.Second); err != ErrFinished {
 		t.Fatalf("WaitStop = %v, want ErrFinished", err)
 	}
@@ -27,11 +25,7 @@ func TestThresholdBeyondEndJustFinishes(t *testing.T) {
 }
 
 func TestStopsSnapshotIsolated(t *testing.T) {
-	s, err := Launch(pingPongTarget(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.BreakFunc("main")
+	s := launchArmed(t, pingPongTarget(3), func(s *Session) { s.BreakFunc("main") })
 	if _, err := s.WaitAllStopped(tmo); err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +60,7 @@ func TestWhereOnRunningRank(t *testing.T) {
 }
 
 func TestKillWhileWatching(t *testing.T) {
-	s, err := Launch(pingPongTarget(50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.WatchVar(1, "sum")
+	s := launchArmed(t, pingPongTarget(50), func(s *Session) { s.WatchVar(1, "sum") })
 	if _, err := s.WaitStop(1, tmo); err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +83,7 @@ func TestBreakpointDuringStall(t *testing.T) {
 			}
 		},
 	}
-	s, err := Launch(tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.BreakFunc("main")
+	s := launchArmed(t, tgt, func(s *Session) { s.BreakFunc("main") })
 	if _, err := s.WaitStop(0, tmo); err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +134,7 @@ func TestReplayOfEmptyRecording(t *testing.T) {
 }
 
 func TestStopRecordFields(t *testing.T) {
-	s, err := Launch(pingPongTarget(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.BreakAt("pp.go", 5)
+	s := launchArmed(t, pingPongTarget(2), func(s *Session) { s.BreakAt("pp.go", 5) })
 	st, err := s.WaitStop(0, tmo)
 	if err != nil {
 		t.Fatal(err)

@@ -116,12 +116,10 @@ func TestReplayStopsAtStopSet(t *testing.T) {
 }
 
 func TestUndoReturnsToPreviousStop(t *testing.T) {
-	s, err := Launch(pingPongTarget(8))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// First stop: rank 1 at marker 3.
-	s.SetStopSet(replay.StopSet{{Rank: 0, Seq: 5}, {Rank: 1, Seq: 3}})
+	s := launchArmed(t, pingPongTarget(8), func(s *Session) {
+		s.SetStopSet(replay.StopSet{{Rank: 0, Seq: 5}, {Rank: 1, Seq: 3}})
+	})
 	if _, err := s.WaitAllStopped(tmo); err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +162,10 @@ func TestUndoReturnsToPreviousStop(t *testing.T) {
 }
 
 func TestUndoTwiceWalksBack(t *testing.T) {
-	s, err := Launch(pingPongTarget(8))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Stop 1.
-	s.SetStopSet(replay.StopSet{{Rank: 0, Seq: 3}, {Rank: 1, Seq: 2}})
+	s := launchArmed(t, pingPongTarget(8), func(s *Session) {
+		s.SetStopSet(replay.StopSet{{Rank: 0, Seq: 3}, {Rank: 1, Seq: 2}})
+	})
 	if _, err := s.WaitAllStopped(tmo); err != nil {
 		t.Fatal(err)
 	}

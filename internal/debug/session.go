@@ -107,10 +107,14 @@ type Session struct {
 // Launch starts the target under debugger control and returns immediately;
 // ranks run until they hit a stop condition or finish.
 func Launch(tgt Target) (*Session, error) {
-	return launch(tgt, nil)
+	return launch(tgt, nil, nil, nil)
 }
 
-func launch(tgt Target, delivery mp.DeliveryController) (*Session, error) {
+// launch builds a session and starts its ranks. A replay's stop set (nil for
+// none) and snapshot marker base are installed before any rank runs — the
+// paper stores the thresholds, then restarts the computation — so no rank
+// can pass its threshold marker unobserved.
+func launch(tgt Target, delivery mp.DeliveryController, stops replay.StopSet, markerBase []uint64) (*Session, error) {
 	if tgt.Body == nil {
 		return nil, fmt.Errorf("debug: target has no body")
 	}
@@ -153,6 +157,10 @@ func launch(tgt Target, delivery mp.DeliveryController) (*Session, error) {
 		return nil, err
 	}
 	s.w = w
+	s.markerBase = markerBase
+	if stops != nil {
+		s.SetStopSet(stops)
+	}
 	if err := w.Start(func(p *mp.Proc) {
 		defer s.markFinished(p.Rank())
 		tgt.Body(s.in.Ctx(p))
@@ -543,14 +551,7 @@ func (s *Session) Replay(stops replay.StopSet) (*Session, error) {
 	// events a second time.
 	tgt := s.tgt
 	tgt.ExtraSinks = nil
-	ns, err := launch(tgt, enf)
-	if err != nil {
-		return nil, err
-	}
-	if stops != nil {
-		ns.SetStopSet(stops)
-	}
-	return ns, nil
+	return launch(tgt, enf, stops, nil)
 }
 
 // Undo replays to the most recent recorded stop vector — "returning the

@@ -37,6 +37,27 @@ func pingPongTarget(k int) Target {
 	}
 }
 
+// launchArmed launches tgt with every rank held at the top of its body until
+// arm has run. Launch starts the ranks at once, so a breakpoint set by the
+// test's next statement races the program it is meant to stop; a debugger
+// user arms a live target the same way, from a stop.
+func launchArmed(t *testing.T, tgt Target, arm func(s *Session)) *Session {
+	t.Helper()
+	armed := make(chan struct{})
+	body := tgt.Body
+	tgt.Body = func(c *instr.Ctx) {
+		<-armed
+		body(c)
+	}
+	s, err := Launch(tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arm(s)
+	close(armed)
+	return s
+}
+
 func TestLaunchRunFinish(t *testing.T) {
 	s, err := Launch(pingPongTarget(3))
 	if err != nil {
@@ -58,11 +79,7 @@ func TestLaunchRunFinish(t *testing.T) {
 }
 
 func TestBreakFuncStopsEveryRank(t *testing.T) {
-	s, err := Launch(pingPongTarget(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.BreakFunc("main")
+	s := launchArmed(t, pingPongTarget(2), func(s *Session) { s.BreakFunc("main") })
 	stops, err := s.WaitAllStopped(tmo)
 	if err != nil {
 		t.Fatalf("WaitAllStopped: %v", err)
@@ -81,11 +98,8 @@ func TestBreakFuncStopsEveryRank(t *testing.T) {
 }
 
 func TestBreakAtLocation(t *testing.T) {
-	s, err := Launch(pingPongTarget(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.BreakAt("pp.go", 5) // the statement marker before each send
+	// The statement marker before each send.
+	s := launchArmed(t, pingPongTarget(3), func(s *Session) { s.BreakAt("pp.go", 5) })
 	st, err := s.WaitStop(0, tmo)
 	if err != nil {
 		t.Fatal(err)
@@ -122,11 +136,7 @@ func TestBreakAtLocation(t *testing.T) {
 }
 
 func TestStepAdvancesOneEvent(t *testing.T) {
-	s, err := Launch(pingPongTarget(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.BreakAt("pp.go", 5)
+	s := launchArmed(t, pingPongTarget(3), func(s *Session) { s.BreakAt("pp.go", 5) })
 	st, err := s.WaitStop(0, tmo)
 	if err != nil {
 		t.Fatal(err)
@@ -153,16 +163,14 @@ func TestStepAdvancesOneEvent(t *testing.T) {
 }
 
 func TestReadVarAtStop(t *testing.T) {
-	s, err := Launch(pingPongTarget(4))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Stop rank 1 at its third receive event (markers: FuncEntry=1, then
 	// one receive per marker). The stop fires when the receive event is
 	// generated, before the program statement that adds it to sum — so at
 	// marker 4 the first two messages (1+2) have been accumulated. Rank 0
 	// stops after its third send (marker 7) so the stop set is consistent.
-	s.SetStopSet(replay.StopSet{{Rank: 0, Seq: 7}, {Rank: 1, Seq: 4}})
+	s := launchArmed(t, pingPongTarget(4), func(s *Session) {
+		s.SetStopSet(replay.StopSet{{Rank: 0, Seq: 7}, {Rank: 1, Seq: 4}})
+	})
 	st, err := s.WaitStop(1, tmo)
 	if err != nil {
 		t.Fatal(err)
@@ -190,11 +198,7 @@ func TestReadVarAtStop(t *testing.T) {
 }
 
 func TestReadVarRequiresStopped(t *testing.T) {
-	s, err := Launch(pingPongTarget(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.BreakFunc("main")
+	s := launchArmed(t, pingPongTarget(1), func(s *Session) { s.BreakFunc("main") })
 	if _, err := s.WaitAllStopped(tmo); err != nil {
 		t.Fatal(err)
 	}
@@ -218,16 +222,12 @@ func TestReadVarRequiresStopped(t *testing.T) {
 }
 
 func TestKillReleasesEverything(t *testing.T) {
-	s, err := Launch(pingPongTarget(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.BreakAt("pp.go", 5)
+	s := launchArmed(t, pingPongTarget(1000), func(s *Session) { s.BreakAt("pp.go", 5) })
 	if _, err := s.WaitStop(0, tmo); err != nil {
 		t.Fatal(err)
 	}
 	s.Kill()
-	err = s.Wait()
+	err := s.Wait()
 	if err == nil || !strings.Contains(err.Error(), "killed") {
 		t.Fatalf("Wait after kill = %v", err)
 	}
@@ -288,13 +288,11 @@ func TestWaitTimeouts(t *testing.T) {
 			}
 		},
 	}
-	s2, err := Launch(tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Stop rank 0 before its send; rank 1 blocks in Recv: WaitAllStopped
 	// must time out and name the running rank.
-	s2.SetStopSet(replay.StopSet{{Rank: 0, Seq: 2}, {Rank: 1, Seq: 1000}})
+	s2 := launchArmed(t, tgt, func(s *Session) {
+		s.SetStopSet(replay.StopSet{{Rank: 0, Seq: 2}, {Rank: 1, Seq: 1000}})
+	})
 	if _, err := s2.WaitStop(0, tmo); err != nil {
 		t.Fatal(err)
 	}
@@ -335,11 +333,7 @@ func TestSelectiveCollectionStillReplayable(t *testing.T) {
 	// Turn collection off for rank 1 (the paper's trace-size control):
 	// markers keep advancing, so marker-based stops and replay still work;
 	// only the display loses rank 1's records.
-	s, err := Launch(pingPongTarget(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Monitor().SetCollect(1, false)
+	s := launchArmed(t, pingPongTarget(4), func(s *Session) { s.Monitor().SetCollect(1, false) })
 	if err := s.Finish(); err != nil {
 		t.Fatal(err)
 	}

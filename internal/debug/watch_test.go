@@ -5,15 +5,12 @@ import (
 	"testing"
 
 	"tracedbg/internal/mp"
+	"tracedbg/internal/replay"
 	"tracedbg/internal/trace"
 )
 
 func TestWatchVarStopsOnChange(t *testing.T) {
-	s, err := Launch(pingPongTarget(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.WatchVar(1, "sum")
+	s := launchArmed(t, pingPongTarget(5), func(s *Session) { s.WatchVar(1, "sum") })
 	// First change: after the first message is accumulated, sum goes 0->1.
 	st, err := s.WaitStop(1, tmo)
 	if err != nil {
@@ -43,13 +40,9 @@ func TestWatchVarStopsOnChange(t *testing.T) {
 }
 
 func TestWatchOnlyNamedRank(t *testing.T) {
-	s, err := Launch(pingPongTarget(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Watch rank 0's sum: it never changes (rank 0 only sends), so the
 	// program runs to completion without stopping.
-	s.WatchVar(0, "sum")
+	s := launchArmed(t, pingPongTarget(2), func(s *Session) { s.WatchVar(0, "sum") })
 	if _, err := s.WaitStop(0, tmo); err != ErrFinished {
 		t.Fatalf("rank 0 stop = %v", err)
 	}
@@ -59,14 +52,13 @@ func TestWatchOnlyNamedRank(t *testing.T) {
 }
 
 func TestBreakIfCondition(t *testing.T) {
-	s, err := Launch(pingPongTarget(6))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Stop rank 0 when it is about to send payload > 3 (the statement
 	// marker carries the loop counter in Args[0]).
-	id := s.BreakIf(func(p *mp.Proc, rec *trace.Record) bool {
-		return p.Rank() == 0 && rec.Kind == trace.KindMarker && rec.Args[0] == 3
+	var id string
+	s := launchArmed(t, pingPongTarget(6), func(s *Session) {
+		id = s.BreakIf(func(p *mp.Proc, rec *trace.Record) bool {
+			return p.Rank() == 0 && rec.Kind == trace.KindMarker && rec.Args[0] == 3
+		})
 	})
 	st, err := s.WaitStop(0, tmo)
 	if err != nil {
@@ -96,11 +88,18 @@ func TestWatchSurvivesReplay(t *testing.T) {
 	if err := s.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := s.Replay(nil)
+	// Arm from a stop, as a user would: the replay halts every rank at its
+	// first event, the watch is set, and the ranks resume.
+	rs, err := s.Replay(replay.StopSet{{Rank: 0}, {Rank: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := rs.WaitAllStopped(tmo); err != nil {
+		t.Fatal(err)
+	}
 	rs.WatchVar(1, "sum")
+	rs.ClearStopSet()
+	rs.ContinueAll()
 	st, err := rs.WaitStop(1, tmo)
 	if err != nil {
 		t.Fatal(err)

@@ -50,6 +50,7 @@ func goldenRegistry() *Registry {
 	r.Counter("tracedbg_store_tails_total", "live tail cursors opened on stores").Add(5)
 	r.Counter("tracedbg_store_tail_records_total", "records delivered by live tail cursors").Add(1200)
 	r.Counter("tracedbg_store_tail_polls_total", "tail growth re-checks that found nothing new").Add(37)
+	r.Counter("tracedbg_store_tail_wakes_total", "tail waits ended early by an in-process writer's growth note").Add(1150)
 	r.Counter("tracedbg_store_tail_resyncs_total", "mid-tail damage resynchronizations").Inc()
 	r.Counter("tracedbg_store_tail_rotations_total", "segment-chain handoffs performed by live tails").Add(6)
 	r.Counter("tracedbg_store_tail_reopens_total", "tails restarted because the file was rewritten underneath").Inc()

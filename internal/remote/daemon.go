@@ -1125,6 +1125,8 @@ func (d *Daemon) finalizeSession(s *session, incompleteReason string) {
 	}); err != nil {
 		d.sessionError(s, err)
 	}
+	// Tails of this session finish on the flipped metadata; wake them to it.
+	trace.NoteGrowth(filepath.Join(s.dir, sessionMetaName))
 	d.mu.Lock()
 	s.state = sessDone
 	s.incomplete = incompleteReason

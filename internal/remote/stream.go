@@ -34,10 +34,6 @@ import (
 	"tracedbg/internal/trace"
 )
 
-// streamPoll is the tail cadence for HTTP consumers: human-facing dashboards
-// do not need the store default's aggressiveness.
-const streamPoll = 50 * time.Millisecond
-
 // wireRecord is the JSON shape of one streamed trace record. Field names
 // follow the Record struct; zero-valued message fields are elided so pure
 // compute records stay one short line.
@@ -199,10 +195,12 @@ func (d *Daemon) serveTail(w http.ResponseWriter, r *http.Request, id string) {
 		select {
 		case <-ctx.Done():
 			return
-		case <-time.After(streamPoll):
+		case <-time.After(trace.DefaultTailPoll):
 		}
 	}
-	tc, err := st.Tail(store.TailOptions{Poll: streamPoll})
+	// The pump is woken by this daemon's own writers like any in-process
+	// tail, so it takes the store's defaults.
+	tc, err := st.Tail()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

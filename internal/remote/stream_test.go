@@ -11,10 +11,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"tracedbg/internal/iofault"
 	"tracedbg/internal/obs"
 	"tracedbg/internal/trace"
 )
@@ -403,4 +407,114 @@ func (r *stringReader) Read(p []byte) (int, error) {
 	n := copy(p, r.s)
 	r.s = r.s[n:]
 	return n, nil
+}
+
+// landFS reports every write that lands in a segment file — the event a
+// session's durable count follows — so a test can stand at the durability
+// horizon without sleeping up to it.
+type landFS struct {
+	iofault.FS
+	landed chan struct{}
+}
+
+func (l landFS) Create(name string) (iofault.File, error) {
+	f, err := l.FS.Create(name)
+	if err != nil || !strings.HasSuffix(name, ".trace") {
+		return f, err
+	}
+	return landFile{f, l.landed}, nil
+}
+
+type landFile struct {
+	iofault.File
+	landed chan struct{}
+}
+
+func (f landFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	select {
+	case f.landed <- struct{}{}:
+	default:
+	}
+	return n, err
+}
+
+// TestHTTPTailDeliversAtDurable pins that /sessions/<id>/tail consumers are
+// woken by the daemon's own writer like any in-process tail: an NDJSON line
+// reaches the consumer within 10 ms of Sessions() reporting its record
+// durable (half a poll interval would be 12.5 ms, and was 25 ms when the
+// stream polled at its own 50 ms).
+func TestHTTPTailDeliversAtDurable(t *testing.T) {
+	const n = 21
+	opts := fastDaemon(t)
+	opts.SegmentBytes = 0 // no rotation: one file's writes are the whole story
+	landed := make(chan struct{}, 1)
+	opts.FS = landFS{iofault.OS(), landed}
+	d, err := NewDaemon("127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	srv := httptest.NewServer(obs.HandlerWith(obs.Nop(), d.Mounts()))
+	defer srv.Close()
+	cl, err := DialOptions(d.Addr(), 1, sessionClient("lag"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	resp, err := http.Get(srv.URL + "/sessions/lag/tail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET tail: %s", resp.Status)
+	}
+	arrived := make(chan time.Time, n)
+	go func() {
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			arrived <- time.Now()
+		}
+	}()
+
+	guard := time.After(30 * time.Second)
+	lags := make([]time.Duration, 0, n)
+	for i := uint64(1); i <= n; i++ {
+		select {
+		case <-landed: // the header's, or the previous record's second write
+		default:
+		}
+		cl.Emit(&trace.Record{Kind: trace.KindMarker, Marker: i, Start: int64(i), End: int64(i)})
+		if err := cl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-landed:
+		case <-guard:
+			t.Fatalf("record %d never reached the segment file", i)
+		}
+		// The writer publishes the durable count right after the write that
+		// just landed: a spin of microseconds, not a wait.
+		for durableCount(d, "lag") < i {
+			select {
+			case <-guard:
+				t.Fatalf("record %d landed but was never reported durable", i)
+			default:
+				runtime.Gosched()
+			}
+		}
+		durable := time.Now()
+		select {
+		case at := <-arrived:
+			lags = append(lags, at.Sub(durable))
+		case <-guard:
+			t.Fatalf("record %d durable but never streamed", i)
+		}
+	}
+	sort.Slice(lags, func(i, j int) bool { return lags[i] < lags[j] })
+	t.Logf("durable-to-consumer lag: median %v, max %v", lags[n/2], lags[n-1])
+	if lags[n/2] > 10*time.Millisecond {
+		t.Fatalf("median durable-to-consumer lag %v over %d records, want <= 10ms: the stream is polling, not woken", lags[n/2], n)
+	}
 }

@@ -27,6 +27,7 @@ type storeMetrics struct {
 	tails         *obs.Counter
 	tailRecords   *obs.Counter
 	tailPolls     *obs.Counter
+	tailWakes     *obs.Counter
 	tailResyncs   *obs.Counter
 	tailRotations *obs.Counter
 	tailReopens   *obs.Counter
@@ -79,6 +80,8 @@ func newStoreMetrics(r *obs.Registry) *storeMetrics {
 			"records delivered by live tail cursors"),
 		tailPolls: r.Counter("tracedbg_store_tail_polls_total",
 			"tail growth re-checks that found nothing new"),
+		tailWakes: r.Counter("tracedbg_store_tail_wakes_total",
+			"tail waits ended early by an in-process writer's growth note"),
 		tailResyncs: r.Counter("tracedbg_store_tail_resyncs_total",
 			"mid-tail damage resynchronizations"),
 		tailRotations: r.Counter("tracedbg_store_tail_rotations_total",

@@ -17,12 +17,14 @@ import (
 // offered in ModeLive: following an unfinalized trace is an explicit choice,
 // not something the post-mortem modes do behind the caller's back.
 
-// TailOptions tunes Store.Tail. The zero value polls at the trace layer's
-// default cadence and, for path-backed stores, finishes automatically when a
+// TailOptions tunes Store.Tail. The zero value is woken by an in-process
+// writer, polls at the trace layer's default cadence for any other (DESIGN.md
+// §15), and, for path-backed stores, finishes automatically when a
 // collector session finalizes (a sibling session.json marked complete);
 // otherwise it follows until the context passed to Next is cancelled.
 type TailOptions struct {
-	// Poll is the growth re-check cadence; <= 0 selects the default.
+	// Poll is the growth re-check cadence when no in-process writer wakes
+	// the tail; <= 0 selects the default.
 	Poll time.Duration
 	// Done overrides finalization detection: once it returns true and no
 	// further growth is observed, the cursor drains and returns io.EOF.
@@ -63,6 +65,7 @@ func (s *Store) Tail(opts ...TailOptions) (TailCursor, error) {
 		Poll:     o.Poll,
 		Done:     done,
 		OnPoll:   func() { m.tailPolls.Inc() },
+		OnWake:   func() { m.tailWakes.Inc() },
 		OnResync: func() { m.tailResyncs.Inc() },
 		OnRotate: func() { m.tailRotations.Inc() },
 		OnReopen: func() { m.tailReopens.Inc() },

@@ -339,3 +339,129 @@ func TestTailMetrics(t *testing.T) {
 		t.Fatalf("tail_active = %v after Close, want 0", snap["tracedbg_store_tail_active"])
 	}
 }
+
+func markerRec(i int) trace.Record {
+	return trace.Record{Kind: trace.KindMarker, Rank: i % 2, Marker: uint64(i), Start: int64(2 * i), End: int64(2*i + 1)}
+}
+
+// TestTailWakeAndPollMetrics pins what the two wait counters mean: a record
+// an in-process writer notes is a wake, never a poll (the poll here never
+// fires), and a wait that runs out its Poll with nobody writing is a poll.
+func TestTailWakeAndPollMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	store.SetObsRegistry(reg)
+	defer store.SetObsRegistry(obs.Default())
+	counter := func(name string) float64 {
+		for _, m := range reg.Snapshot().Metrics {
+			if m.Name == name {
+				return m.Value
+			}
+		}
+		return 0
+	}
+
+	const n = 50
+	gw, err := trace.NewSequentialSegmentedWriter(t.TempDir(), "sess", 2, 0, trace.WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	if err := gw.SyncManifest(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(gw.ManifestPath(), store.Options{Mode: store.ModeLive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	tc, err := st.Tail(store.TailOptions{Poll: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for i := 1; i <= n; i++ {
+		// Written only once the previous one is delivered, so each record
+		// costs the tail one wait.
+		go func() {
+			time.Sleep(200 * time.Microsecond)
+			rec := markerRec(i)
+			if err := gw.Write(&rec); err != nil {
+				t.Errorf("write %d: %v", i, err)
+			}
+			if err := gw.Flush(); err != nil {
+				t.Errorf("flush %d: %v", i, err)
+			}
+		}()
+		if _, err := tc.Next(ctx); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	if polls := counter("tracedbg_store_tail_polls_total"); polls != 0 {
+		t.Fatalf("tail_polls_total = %v under a poll that never fires: deliveries were counted as polls", polls)
+	}
+	if wakes := counter("tracedbg_store_tail_wakes_total"); wakes < 1 || wakes > 2*n {
+		t.Fatalf("tail_wakes_total = %v for %d noted records", wakes, n)
+	}
+
+	// A second tail nobody writes to, with a short poll: expiries are polls.
+	idle, err := st.Tail(store.TailOptions{Poll: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	idleCtx, stop := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer stop()
+	for {
+		if _, err := idle.Next(idleCtx); err != nil {
+			break
+		}
+	}
+	if polls := counter("tracedbg_store_tail_polls_total"); polls < 1 {
+		t.Fatal("an idle tail's expired waits were not counted as polls")
+	}
+}
+
+// TestLiveLoadDoesNotWaitPerSegment pins that materializing a live store — an
+// immediately-done chain tail underneath — costs no poll interval per
+// segment: 64 segments at the 25 ms default would be 1.6 s.
+func TestLiveLoadDoesNotWaitPerSegment(t *testing.T) {
+	const n = 2000
+	gw, err := trace.NewSequentialSegmentedWriter(t.TempDir(), "sess", 2, 512, trace.WriterOptions{ChunkBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close() // still open: the last segment is live, written in this process
+	for i := 1; i <= n; i++ {
+		rec := markerRec(i)
+		if err := gw.Write(&rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := gw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.SyncManifest(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(gw.ManifestPath(), store.Options{Mode: store.ModeLive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if segs := st.Info().Segments; segs < 64 {
+		t.Fatalf("%d segments, want >= 64 for the bound below to mean anything", segs)
+	}
+	t0 := time.Now()
+	tr, err := st.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(t0); took > 800*time.Millisecond {
+		t.Fatalf("live load took %v: it waited on the tail's poll", took)
+	}
+	if got := tr.Len(); got != n {
+		t.Fatalf("live load has %d records, want %d", got, n)
+	}
+}

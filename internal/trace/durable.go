@@ -351,14 +351,19 @@ func LoadManifestFS(fsys iofault.FS, path string) (*Manifest, error) {
 
 // countingFile wraps a segment file with a racily readable byte count and
 // forwards Sync so FileWriter's durability policy still reaches the file.
+// Bytes that landed are noted to in-process tails of the directory (grow).
 type countingFile struct {
-	f iofault.File
-	n atomic.Int64
+	f    iofault.File
+	n    atomic.Int64
+	grow string
 }
 
 func (c *countingFile) Write(p []byte) (int, error) {
 	n, err := c.f.Write(p)
 	c.n.Add(int64(n))
+	if n > 0 {
+		noteGrowth(c.grow, true)
+	}
 	return n, err
 }
 
@@ -404,6 +409,7 @@ type SegmentedWriter struct {
 	seq      bool // sequential (FileWriter) sink instead of sharded
 
 	cf       *countingFile
+	grow     string // growthKey of dir, for noteGrowth
 	sw       segmentSink
 	segs     []SegmentInfo
 	done     int  // records in finished segments
@@ -491,7 +497,10 @@ func (gw *SegmentedWriter) openSegmentLocked() error {
 		f.Close() //nolint:ioerr // already failing; surfacing err
 		return ioErr("syncdir", gw.dir, err)
 	}
-	cf := &countingFile{f: f}
+	if gw.grow == "" {
+		gw.grow = growthKey(path)
+	}
+	cf := &countingFile{f: f, grow: gw.grow}
 	var sw segmentSink
 	if gw.seq {
 		fw, err := NewFileWriterOptions(cf, gw.numRanks, gw.opts)
@@ -510,6 +519,8 @@ func (gw *SegmentedWriter) openSegmentLocked() error {
 	}
 	gw.cf = cf
 	gw.sw = sw
+	// A tail of the previous segment hands off once this file exists.
+	noteGrowth(gw.grow, false)
 	return nil
 }
 
@@ -633,12 +644,16 @@ func (gw *SegmentedWriter) BytesWritten() int64 {
 
 func (gw *SegmentedWriter) writeManifestLocked(segs []SegmentInfo) error {
 	opts := gw.opts.withDefaults()
-	return WriteManifestFS(gw.fsys, gw.ManifestPath(), &Manifest{
+	err := WriteManifestFS(gw.fsys, gw.ManifestPath(), &Manifest{
 		FormatVersion: FormatVersion,
 		NumRanks:      gw.numRanks,
 		Writer:        opts.Writer,
 		Segments:      segs,
 	})
+	if err == nil {
+		noteGrowth(gw.grow, false) // a chain tail may be waiting for its first manifest
+	}
+	return err
 }
 
 // SyncManifest atomically writes a manifest covering everything written so

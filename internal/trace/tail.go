@@ -40,6 +40,13 @@ import (
 // and fsyncs the old segment before creating the new one), so the tail hands
 // off from segment to segment with no barrier on the manifest cadence.
 
+// How a tail learns of growth: an in-process SegmentedWriter notes every
+// write (growth.go) and the tail wakes at once; with any other writer the
+// tail re-checks every TailOptions.Poll, and the poll stays armed behind the
+// wake as the fallback. Either way a record is delivered only from a
+// complete, CRC-verified frame read back from the file — the wake changes
+// how soon growth is noticed, not what counts as written.
+
 // DefaultTailPoll is the growth re-check cadence when TailOptions.Poll is
 // unset.
 const DefaultTailPoll = 25 * time.Millisecond
@@ -57,8 +64,8 @@ const tailQueueMax = 4096
 // to Next, or set Done).
 type TailOptions struct {
 	// Poll is the cadence at which the tail re-checks the file for growth
-	// when it has consumed everything written so far. <= 0 selects
-	// DefaultTailPoll.
+	// when it has consumed everything written so far and no in-process
+	// writer wakes it sooner. <= 0 selects DefaultTailPoll.
 	Poll time.Duration
 	// Done reports that the producer has finished: once it returns true and
 	// no further growth is observed, the tail finalizes — trailing partial
@@ -67,7 +74,8 @@ type TailOptions struct {
 	Done func() bool
 
 	// Observation hooks, all optional; used by the store layer's metrics.
-	OnPoll   func() // a growth re-check found nothing new
+	OnPoll   func() // a wait ran out its Poll with nothing new noted
+	OnWake   func() // an in-process writer's note ended a wait early
 	OnResync func() // definitive damage opened a gap mid-tail
 	OnRotate func() // a chain tail handed off to the next segment
 	OnReopen func() // the file identity changed under the tail (rewritten)
@@ -83,6 +91,12 @@ func (o TailOptions) withDefaults() TailOptions {
 func (o TailOptions) poll() {
 	if o.OnPoll != nil {
 		o.OnPoll()
+	}
+}
+
+func (o TailOptions) wake() {
+	if o.OnWake != nil {
+		o.OnWake()
 	}
 }
 
@@ -117,19 +131,62 @@ type TailCursor interface {
 	Close() error
 }
 
-// sleepCtx sleeps for d or until ctx is cancelled. A nil ctx never cancels.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if ctx == nil {
-		time.Sleep(d)
-		return nil
+// tailWait is where a tail blocks once it has consumed everything written
+// so far: one select over cancellation, an in-process writer's growth note,
+// and the poll timer. A ChainTail shares its tailWait with the FileTail of
+// the segment it is on, so a session holds one subscription and one timer.
+type tailWait struct {
+	watch *growthWatch
+	timer *time.Timer
+}
+
+func newTailWait(path string) *tailWait {
+	return &tailWait{watch: watchGrowth(path)}
+}
+
+// wait blocks until growth is noted (woken), o.Poll elapses, or ctx is
+// cancelled. A nil ctx never cancels.
+func (tw *tailWait) wait(ctx context.Context, o *TailOptions) (woken bool, err error) {
+	var cancelled <-chan struct{}
+	if ctx != nil {
+		cancelled = ctx.Done()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	if tw.timer == nil {
+		tw.timer = time.NewTimer(o.Poll)
+	} else {
+		tw.timer.Reset(o.Poll)
+	}
 	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
+	case <-tw.timer.C:
+		o.poll()
+		return false, nil
+	case <-tw.watch.wake:
+		woken = true
+		o.wake()
+	case <-cancelled:
+		err = ctx.Err()
+	}
+	// Reset needs a stopped, drained timer (go.mod predates Go 1.23 timers).
+	if !tw.timer.Stop() {
+		select {
+		case <-tw.timer.C:
+		default:
+		}
+	}
+	return woken, err
+}
+
+// noted reports whether a growth note is waiting to be consumed.
+func (tw *tailWait) noted() bool { return len(tw.watch.wake) > 0 }
+
+// changed reports, and forgets, whether anything but appended bytes has been
+// noted: a new segment, a manifest, the session's metadata.
+func (tw *tailWait) changed() bool { return tw.watch.changed.Swap(false) }
+
+func (tw *tailWait) close() {
+	tw.watch.close()
+	if tw.timer != nil {
+		tw.timer.Stop()
 	}
 }
 
@@ -143,6 +200,13 @@ const maxHeaderBytes = 8 + 2*binary.MaxVarintLen64 + maxWriterLen + 4
 type FileTail struct {
 	path string
 	opts TailOptions
+
+	tw      *tailWait
+	ownWait bool // tw is this tail's to close (not a ChainTail's)
+	woken   bool // the last wait ended on a growth note
+	behind  bool // the last ingest left bytes in the file unread
+	settled bool // a woken round consumed all there was; see Next
+	sys     int  // file-system calls made, for the per-delivery budget test
 
 	f  *os.File
 	fi os.FileInfo // identity at open, for rewrite detection
@@ -169,6 +233,16 @@ type FileTail struct {
 // legacy files cannot be tailed — they carry no frames to follow — and
 // surface an error from Next.
 func TailFile(path string, opts TailOptions) (*FileTail, error) {
+	ft, err := tailFile(path, opts.withDefaults(), nil)
+	if err != nil {
+		return nil, err
+	}
+	ft.tw, ft.ownWait = newTailWait(path), true
+	return ft, nil
+}
+
+// tailFile opens a FileTail that waits on tw (a ChainTail's).
+func tailFile(path string, opts TailOptions, tw *tailWait) (*FileTail, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -180,7 +254,8 @@ func TailFile(path string, opts TailOptions) (*FileTail, error) {
 	}
 	return &FileTail{
 		path: path,
-		opts: opts.withDefaults(),
+		opts: opts,
+		tw:   tw,
 		f:    f,
 		fi:   fi,
 		w:    &frameWalker{eof: true},
@@ -215,44 +290,52 @@ func (ft *FileTail) Next(ctx context.Context) (*Record, error) {
 		}
 		ft.queue = ft.queue[:0]
 		ft.qpos = 0
-		grew, err := ft.ingest()
-		if err != nil {
-			// Transient visibility errors (a rewrite rename in flight) heal on
-			// the next poll; a producer that is done and gone does not.
-			if ft.opts.producerDone() {
+		// A round that a note woke, that read to the end of the file and
+		// decoded all of it, and that was woken for appended bytes only,
+		// leaves nothing for an empty re-check (a stat, then Done) to find
+		// unless the writer has noted more since: skip straight to the wait.
+		// Tails nobody wakes never take this path, so polled files and
+		// immediately-done drains behave as before.
+		if !ft.settled || ft.tw.noted() {
+			grew, err := ft.ingest()
+			if err == nil {
+				progressed := ft.pump()
+				if progressed || grew {
+					ft.settled = ft.woken && !ft.behind && len(ft.queue) < tailQueueMax && !ft.tw.changed()
+					continue
+				}
+				if ft.opts.producerDone() {
+					// One more look catches bytes written just before Done flipped.
+					if grew, err := ft.ingest(); err == nil && grew {
+						continue
+					}
+					ft.finalize()
+					continue
+				}
+			} else if ft.opts.producerDone() {
+				// Transient visibility errors (a rewrite rename in flight) heal on
+				// the next look; a producer that is done and gone does not.
 				ft.err = err
 				ft.done = true
 				continue
 			}
-			if serr := sleepCtx(ctx, ft.opts.Poll); serr != nil {
-				return nil, serr
-			}
-			ft.opts.poll()
-			continue
 		}
-		progressed := ft.pump()
-		if progressed || grew {
-			continue
-		}
-		if ft.opts.producerDone() {
-			// One more look catches bytes written just before Done flipped.
-			if grew, err := ft.ingest(); err == nil && grew {
-				continue
-			}
-			ft.finalize()
-			continue
-		}
-		if err := sleepCtx(ctx, ft.opts.Poll); err != nil {
+		ft.settled = false
+		woken, err := ft.tw.wait(ctx, &ft.opts)
+		if err != nil {
 			return nil, err
 		}
-		ft.opts.poll()
+		ft.woken = woken
 	}
 }
 
-// Close releases the file handle.
+// Close releases the file handle and the growth subscription.
 func (ft *FileTail) Close() error {
 	if ft.f == nil {
 		return nil
+	}
+	if ft.ownWait {
+		ft.tw.close()
 	}
 	err := ft.f.Close()
 	ft.f = nil
@@ -291,6 +374,7 @@ func (ft *FileTail) Incomplete() (bool, string) {
 // the records already delivered — the rewrite preserves the record-sequence
 // prefix, so the count is an exact resume point.
 func (ft *FileTail) ingest() (bool, error) {
+	ft.sys++
 	di, err := os.Stat(ft.path)
 	if err != nil {
 		return false, err
@@ -299,11 +383,13 @@ func (ft *FileTail) ingest() (bool, error) {
 		if err := ft.reopenFile(); err != nil {
 			return false, err
 		}
+		ft.sys += 3 // reopenFile's open and fstat, and the stat below
 		di, err = os.Stat(ft.path)
 		if err != nil {
 			return false, err
 		}
 	}
+	ft.behind = false
 	if di.Size() <= ft.read {
 		return false, nil
 	}
@@ -314,9 +400,11 @@ func (ft *FileTail) ingest() (bool, error) {
 	ft.compactWindow()
 	off := len(ft.w.buf)
 	ft.w.buf = append(ft.w.buf, make([]byte, n)...)
+	ft.sys++
 	m, err := ft.f.ReadAt(ft.w.buf[off:], ft.read)
 	ft.w.buf = ft.w.buf[:off+m]
 	ft.read += int64(m)
+	ft.behind = ft.read < di.Size()
 	if err != nil && err != io.EOF {
 		return m > 0, err
 	}
@@ -588,6 +676,7 @@ type ChainTail struct {
 	manifestPath string
 	dir, base    string
 	opts         TailOptions
+	tw           *tailWait
 
 	numRanks  int
 	ready     bool // manifest seen; numRanks known
@@ -615,6 +704,7 @@ func TailChain(manifestPath string, opts TailOptions) (*ChainTail, error) {
 		dir:          filepath.Dir(manifestPath),
 		base:         base,
 		opts:         opts.withDefaults(),
+		tw:           newTailWait(manifestPath),
 	}, nil
 }
 
@@ -656,10 +746,9 @@ func (ct *ChainTail) Next(ctx context.Context) (*Record, error) {
 					ct.done = true
 					continue
 				}
-				if err := sleepCtx(ctx, ct.opts.Poll); err != nil {
+				if _, err := ct.tw.wait(ctx, &ct.opts); err != nil {
 					return nil, err
 				}
-				ct.opts.poll()
 				continue
 			}
 			segIdx := ct.idx
@@ -668,10 +757,10 @@ func (ct *ChainTail) Next(ctx context.Context) (*Record, error) {
 			segOpts.Done = func() bool {
 				return fileExists(ct.segPath(segIdx+1)) || ct.opts.producerDone()
 			}
-			ft, err := TailFile(path, segOpts)
+			ft, err := tailFile(path, segOpts, ct.tw)
 			if err != nil {
 				// Vanished between the existence check and the open: retry.
-				if err := sleepCtx(ctx, ct.opts.Poll); err != nil {
+				if _, err := ct.tw.wait(ctx, &ct.opts); err != nil {
 					return nil, err
 				}
 				continue
@@ -723,11 +812,8 @@ func (ct *ChainTail) awaitManifest(ctx context.Context) error {
 				return nil // surfaced on the next loop iteration
 			}
 		} else {
-			if serr := sleepCtx(ctx, ct.opts.Poll); serr != nil {
-				return serr
-			}
-			ct.opts.poll()
-			return nil
+			_, serr := ct.tw.wait(ctx, &ct.opts)
+			return serr
 		}
 	}
 	nr := m.NumRanks
@@ -753,8 +839,10 @@ func (ct *ChainTail) NumRanks() int {
 // Rotations returns how many segment handoffs the tail has performed.
 func (ct *ChainTail) Rotations() int64 { return ct.rotations }
 
-// Close releases the current segment's file handle.
+// Close releases the current segment's file handle and the growth
+// subscription.
 func (ct *ChainTail) Close() error {
+	ct.tw.close()
 	if ct.cur != nil {
 		err := ct.cur.Close()
 		ct.cur = nil
@@ -767,14 +855,27 @@ func (ct *ChainTail) Close() error {
 // directory: it reports true once the session's metadata says the session
 // finalized (complete or incomplete). dir is the session directory holding
 // session.json; a missing or unreadable metadata file reads as "still
-// running".
+// running". The file is re-read only when a stat shows it changed (the
+// daemon replaces it by rename, and "complete" flipping changes its size);
+// otherwise the previous verdict stands. Not safe for concurrent use.
 func TailDoneWhenComplete(dir string) func() bool {
 	type meta struct {
 		Complete   bool   `json:"complete"`
 		Incomplete string `json:"incomplete_reason"`
 	}
 	path := filepath.Join(dir, "session.json")
+	var seen os.FileInfo // the file the verdict was parsed from
+	var verdict bool
 	return func() bool {
+		fi, err := os.Stat(path)
+		if err != nil {
+			seen = nil
+			return false
+		}
+		if seen != nil && os.SameFile(seen, fi) && seen.Size() == fi.Size() && seen.ModTime().Equal(fi.ModTime()) {
+			return verdict
+		}
+		seen = nil
 		body, err := os.ReadFile(path)
 		if err != nil {
 			return false
@@ -783,7 +884,8 @@ func TailDoneWhenComplete(dir string) func() bool {
 		if err := json.Unmarshal(body, &m); err != nil {
 			return false
 		}
-		return m.Complete || m.Incomplete != ""
+		seen, verdict = fi, m.Complete || m.Incomplete != ""
+		return verdict
 	}
 }
 
