@@ -7,12 +7,15 @@
 //
 //	tcollect -addr 127.0.0.1:7777 -out run.trace
 //
-// The collector exits after all clients disconnect (at least one must have
-// connected), or after -max-wait if nothing ever connects. When replacing a
-// crashed collector on a fixed port, -retry keeps attempting the bind until
-// the OS releases the address. Clients reconnect on their own and resume
-// from whatever the new collector acknowledges, so a restarted tcollect
-// ends up with the complete history.
+// The collector is the daemon below limited to one session, in a temporary
+// directory next to -out. It writes -out and exits once the client closes
+// its stream. It gives up after -max-wait if no client
+// connects. A client that stays disconnected for -max-wait is given up on
+// too: -out is then written with the history received so far, marked
+// incomplete. When replacing a crashed collector on a fixed port, -retry
+// keeps attempting the bind until the OS releases the address. Clients
+// reconnect on their own and resume from whatever the new collector
+// acknowledges, so a restarted tcollect ends up with the complete history.
 //
 // With -daemon, tcollect instead runs as a long-lived multi-session
 // collector: every v3 client session lands in its own live-openable segment
@@ -63,7 +66,6 @@ type options struct {
 	sync        string        // output durability policy
 	segBytes    int64         // rotate output into segments of this size; 0 = single file
 	verify      bool          // round-trip the written output through store.Open
-	col         remote.CollectorOptions
 
 	daemon       bool          // long-lived multi-session mode
 	drainTimeout time.Duration // graceful-drain budget on SIGTERM/SIGINT
@@ -76,11 +78,12 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:0", "listen address")
 	flag.StringVar(&o.out, "out", "run.trace", "output trace file")
-	flag.DurationVar(&o.maxWait, "max-wait", time.Minute, "give up if no client connects in time")
+	flag.DurationVar(&o.maxWait, "max-wait", time.Minute,
+		"give up if no client connects in time, or if the connected client stays away this long (then -out is written marked incomplete)")
 	flag.IntVar(&o.retry, "retry", 1, "attempts to bind the listen address (a just-killed collector may still hold it)")
 	flag.DurationVar(&o.backoffMax, "backoff-max", 2*time.Second, "cap on the delay between bind attempts")
-	flag.DurationVar(&o.col.Heartbeat, "heartbeat", 500*time.Millisecond, "idle keepalive cadence: how often a quiet connection still gets an acknowledgement (credit is granted as records land, so this does not bound throughput)")
-	flag.DurationVar(&o.col.IdleTimeout, "idle-timeout", 0, "drop connections silent for this long (0 = never)")
+	flag.DurationVar(&o.dmn.Heartbeat, "heartbeat", 500*time.Millisecond, "idle keepalive cadence: how often a quiet connection still gets an acknowledgement (credit is granted as records land, so this does not bound throughput)")
+	flag.DurationVar(&o.dmn.IdleTimeout, "idle-timeout", 0, "drop connections silent for this long (0 = never)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "",
 		"serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9100; empty = off)")
 	flag.StringVar(&o.logLevel, "log-level", "",
@@ -159,65 +162,50 @@ func setupObs(o options, log interface{ Write([]byte) (int, error) }, mounts map
 	return func() { srv.Close() }, nil
 }
 
-// listen binds the collector, retrying with growing delays: a collector
-// restarted in place of a crashed one may race the kernel for the port.
-func listen(o options) (*remote.Collector, error) {
-	delay := 100 * time.Millisecond
-	for attempt := 1; ; attempt++ {
-		col, err := remote.NewCollectorOptions(o.addr, o.col)
-		if err == nil || attempt >= o.retry {
-			return col, err
-		}
-		if delay > o.backoffMax {
-			delay = o.backoffMax
-		}
-		time.Sleep(delay)
-		delay *= 2
-	}
-}
-
 func run(o options, log interface{ Write([]byte) (int, error) }) error {
+	policy, err := trace.ParseSyncPolicy(o.sync)
+	if err != nil {
+		return err
+	}
 	stopObs, err := setupObs(o, log, nil)
 	if err != nil {
 		return err
 	}
 	defer stopObs()
-	col, err := listen(o)
+	// The session store is scratch: -out is what the run leaves behind.
+	tmp, err := os.MkdirTemp(filepath.Dir(o.out), ".tcollect-")
 	if err != nil {
 		return err
 	}
-	defer col.Close()
-	fmt.Fprintf(log, "tcollect: listening on %s\n", col.Addr())
-
-	// Wait for the first client, then for quiescence (all disconnected and
-	// the record count stable).
-	start := time.Now()
-	var lastLen int
-	sawClient := false
-	stableSince := time.Now()
-	for {
-		time.Sleep(50 * time.Millisecond)
-		tr := col.Trace()
-		if tr.Len() > 0 {
-			sawClient = true
-		}
-		if tr.Len() != lastLen {
-			lastLen = tr.Len()
-			stableSince = time.Now()
-		}
-		if sawClient && time.Since(stableSince) > 500*time.Millisecond {
-			break
-		}
-		if !sawClient && time.Since(start) > o.maxWait {
-			return fmt.Errorf("no client connected within %v", o.maxWait)
-		}
+	defer os.RemoveAll(tmp)
+	o.dmn = remote.DaemonOptions{
+		Dir: tmp, MaxSessions: 1,
+		Heartbeat: o.dmn.Heartbeat, IdleTimeout: o.dmn.IdleTimeout,
 	}
-
-	tr := col.Trace()
-	policy, err := trace.ParseSyncPolicy(o.sync)
+	d, err := listenDaemon(o)
 	if err != nil {
 		return err
 	}
+	defer d.Close()
+	fmt.Fprintf(log, "tcollect: listening on %s\n", d.Addr())
+
+	id, err := awaitSession(d, o.maxWait)
+	if err != nil {
+		return err
+	}
+	if err := d.Close(); err != nil {
+		return err
+	}
+	st, err := store.Open(d.SessionManifest(id))
+	if err != nil {
+		return err
+	}
+	tr, err := st.Trace()
+	st.Close()
+	if err != nil {
+		return err
+	}
+
 	wopts := trace.WriterOptions{Writer: "tcollect", Sync: policy}
 	written := o.out
 	if o.segBytes > 0 {
@@ -239,10 +227,46 @@ func run(o options, log interface{ Write([]byte) (int, error) }) error {
 		}
 		fmt.Fprintf(log, "tcollect: verified %s: %d records round-trip\n", written, tr.Len())
 	}
-	for _, e := range col.Errs() {
+	for _, e := range d.Errs() {
 		fmt.Fprintf(log, "tcollect: stream error: %v\n", e)
 	}
 	return nil
+}
+
+// awaitSession waits for the daemon's one session to finalize and returns
+// its ID. It fails if no session opens within maxWait; a session whose
+// client stays disconnected for maxWait is drained, which finalizes it
+// marked incomplete.
+func awaitSession(d *remote.Daemon, maxWait time.Duration) (string, error) {
+	start := time.Now()
+	var away time.Time // when the session was first seen disconnected
+	for {
+		time.Sleep(10 * time.Millisecond)
+		sessions := d.Sessions()
+		if len(sessions) == 0 {
+			if time.Since(start) > maxWait {
+				return "", fmt.Errorf("no client connected within %v", maxWait)
+			}
+			continue
+		}
+		s := sessions[0]
+		for _, t := range sessions {
+			if t.State == "done" {
+				s = t // one finished while a newcomer was admitted
+				break
+			}
+		}
+		switch {
+		case s.State == "done":
+			return s.ID, nil
+		case s.Connected:
+			away = time.Time{}
+		case away.IsZero():
+			away = time.Now()
+		case time.Since(away) > maxWait:
+			return s.ID, d.Close()
+		}
+	}
 }
 
 // runDaemon is the -daemon entry point: serve multi-session collection until
@@ -254,8 +278,6 @@ func runDaemon(o options, log interface{ Write([]byte) (int, error) }, sig <-cha
 		return err
 	}
 	o.dmn.Sync = policy
-	o.dmn.Heartbeat = o.col.Heartbeat
-	o.dmn.IdleTimeout = o.col.IdleTimeout
 	if o.segBytes > 0 {
 		o.dmn.SegmentBytes = o.segBytes
 	}
@@ -350,7 +372,8 @@ func runSessions(addr string, log interface{ Write([]byte) (int, error) }) error
 	return tw.Flush()
 }
 
-// listenDaemon binds the daemon with the same bind-retry policy as listen.
+// listenDaemon binds the daemon, retrying with growing delays: a collector
+// restarted in place of a crashed one may race the kernel for the port.
 func listenDaemon(o options) (*remote.Daemon, error) {
 	delay := 100 * time.Millisecond
 	for attempt := 1; ; attempt++ {

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,6 +98,137 @@ func TestCollectEndToEnd(t *testing.T) {
 	}
 }
 
+// startCollect runs the one-shot collector on a loopback port and returns
+// its address and the channel run's result arrives on.
+func startCollect(t *testing.T, o options, log *logBuf) (string, <-chan error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- run(o, log) }()
+	return waitAddr(t, log, "tcollect: listening on "), done
+}
+
+// emitMarkers emits n records per rank with contiguous marker values
+// continuing from *next.
+func emitMarkers(cl *remote.Client, ranks, n int, next *uint64) {
+	for i := 0; i < n; i++ {
+		*next++
+		for r := 0; r < ranks; r++ {
+			cl.Emit(&trace.Record{
+				Kind: trace.KindMarker, Rank: r, Marker: *next,
+				Start: int64(*next), End: int64(*next),
+			})
+		}
+	}
+}
+
+// readOut opens the collector's output through the store.
+func readOut(t *testing.T, path string) *trace.Trace {
+	t.Helper()
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	tr, err := st.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestCollectWaitsOutPausedTarget: a target that goes quiet mid-run is not
+// finished. The collector writes -out only once the client closes its
+// stream, so the history holds the records emitted after the pause too.
+func TestCollectWaitsOutPausedTarget(t *testing.T) {
+	const ranks = 2
+	out := filepath.Join(t.TempDir(), "run.trace")
+	addr, done := startCollect(t, testOptions("127.0.0.1:0", out, 10*time.Second), &logBuf{})
+	cl, err := remote.Dial(addr, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var next uint64
+	emitMarkers(cl, ranks, 20, &next)
+	if err := cl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Second)
+	emitMarkers(cl, ranks, 20, &next)
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("collector: %v", err)
+	}
+	tr := readOut(t, out)
+	if tr.Incomplete() {
+		t.Errorf("closed run written incomplete: %s", tr.IncompleteReason())
+	}
+	for r := 0; r < ranks; r++ {
+		if n := tr.RankLen(r); n != int(next) {
+			t.Errorf("rank %d: %d records in -out, want %d", r, n, next)
+		}
+	}
+}
+
+// TestCollectDeadClientIncomplete: a client that dies without closing its
+// stream leaves a session that never finishes. After -max-wait the
+// collector gives up on it and writes what arrived, marked incomplete.
+func TestCollectDeadClientIncomplete(t *testing.T) {
+	const maxWait = 300 * time.Millisecond
+	out := filepath.Join(t.TempDir(), "run.trace")
+	addr, done := startCollect(t, testOptions("127.0.0.1:0", out, maxWait), &logBuf{})
+
+	// Stream one whole chunk frame and a torn second one, then drop the
+	// connection: the target died mid-write.
+	var stream bytes.Buffer
+	fw, err := trace.NewFileWriter(&stream, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 20; i++ {
+		if i == 11 {
+			if err := fw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fw.Write(&trace.Record{Kind: trace.KindMarker, Marker: uint64(i), Start: int64(i), End: int64(i)})
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte("TDBGREMOTE3 1 doomed doomed\n")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
+		t.Fatalf("handshake ack: %v", err)
+	}
+	if _, err := conn.Write(stream.Bytes()[:stream.Len()-3]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // let the whole frame land first
+	conn.Close()
+	died := time.Now()
+
+	if err := <-done; err != nil {
+		t.Fatalf("collector: %v", err)
+	}
+	if waited := time.Since(died); waited < maxWait {
+		t.Errorf("-out written %v after the client died, before -max-wait (%v)", waited, maxWait)
+	}
+	tr := readOut(t, out)
+	if !tr.Incomplete() {
+		t.Error("history of a client that never closed written as complete")
+	}
+	if tr.Len() != 10 {
+		t.Errorf("-out holds %d records, want the 10 of the whole frame", tr.Len())
+	}
+}
+
 func TestCollectTimeout(t *testing.T) {
 	log := &logBuf{}
 	err := run(testOptions("127.0.0.1:0", filepath.Join(t.TempDir(), "x.trace"), 200*time.Millisecond), log)
@@ -127,7 +261,7 @@ func testOptions(addr, out string, maxWait time.Duration) options {
 	return options{
 		addr: addr, out: out, maxWait: maxWait,
 		retry: 1, backoffMax: 2 * time.Second,
-		col: remote.CollectorOptions{Heartbeat: 20 * time.Millisecond},
+		dmn: remote.DaemonOptions{Heartbeat: 20 * time.Millisecond},
 	}
 }
 

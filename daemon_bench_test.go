@@ -1,11 +1,10 @@
 // BenchmarkDaemonIngest measures the collector daemon's ingest throughput
-// over loopback TCP: one session alone (the regression guard against the
-// single-trace collector it generalizes) and eight sessions streaming
+// over loopback TCP: one session alone and eight sessions streaming
 // concurrently (the multi-session scaling number). Records flow the full
 // path — client framing, wire, admission, bounded queue, sequential segment
-// writer — and an iteration counts one record made durable on disk. Daemon,
-// collector and clients run at their shipped defaults (window, keepalive,
-// MemLimit), so the number is the one a `tcollect -daemon` user gets.
+// writer — and an iteration counts one record made durable on disk. Daemon
+// and clients run at their shipped defaults (window, keepalive, MemLimit),
+// so the number is the one a `tcollect -daemon` user gets.
 //
 // Run with scripts/bench.sh to capture the JSON baseline.
 package tracedbg_test
@@ -89,26 +88,4 @@ func benchDaemonIngest(b *testing.B, sessions int) {
 func BenchmarkDaemonIngest(b *testing.B) {
 	b.Run("SingleSession", func(b *testing.B) { benchDaemonIngest(b, 1) })
 	b.Run("MultiSession8", func(b *testing.B) { benchDaemonIngest(b, 8) })
-
-	// The pre-daemon baseline: the same record stream into the single-trace
-	// collector, the <5% regression reference for SingleSession.
-	b.Run("LegacyCollector", func(b *testing.B) {
-		col, err := remote.NewCollector("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer col.Close()
-		cl, err := remote.Dial(col.Addr(), daemonBenchRanks)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cl.Close()
-		b.ResetTimer()
-		benchEmit(b, cl, b.N)
-		for col.Trace().Len() < b.N {
-			time.Sleep(100 * time.Microsecond)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
-	})
 }

@@ -1,5 +1,6 @@
 // Self-observability: the pipeline watching itself work. A Strassen run
-// streams its history to an in-process collector (cmd/tcollect's machinery)
+// streams its history to an in-process collector daemon (cmd/tcollect's
+// machinery)
 // while a live /metrics endpoint serves Prometheus text, JSON snapshots, and
 // pprof. After each stage — record/stream, persist, load, query — the
 // example prints which counters moved and by how much, the stage-by-stage
@@ -76,14 +77,20 @@ func main() {
 	snap := obs.Default().Snapshot()
 
 	// Stage 1 — record: an instrumented 8-rank Strassen multiply streaming
-	// its records over TCP to a collector, exactly what `tcollect` runs.
-	col, err := remote.NewCollector("127.0.0.1:0")
+	// its records over TCP to a collector daemon, exactly what `tcollect`
+	// runs, which lands them in a session store.
+	dir, err := os.MkdirTemp("", "observe-")
+	if err != nil {
+		log.Fatalf("session dir: %v", err)
+	}
+	defer os.RemoveAll(dir)
+	d, err := remote.NewDaemon("127.0.0.1:0", remote.DaemonOptions{Dir: dir})
 	if err != nil {
 		log.Fatalf("collector: %v", err)
 	}
-	defer col.Close()
-	const ranks = 8
-	client, err := remote.Dial(col.Addr(), ranks)
+	defer d.Close()
+	const ranks, session = 8, "strassen"
+	client, err := remote.DialOptions(d.Addr(), ranks, remote.ClientOptions{SessionID: session})
 	if err != nil {
 		log.Fatalf("dial: %v", err)
 	}
@@ -95,14 +102,21 @@ func main() {
 	if err := client.Close(); err != nil {
 		log.Fatalf("client close: %v", err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); col.Trace().Len() == 0 ||
-		col.Trace().Summarize().Recvs != col.Trace().Summarize().Sends; {
+	for deadline := time.Now().Add(10 * time.Second); !finalized(d, session); {
 		if time.Now().After(deadline) {
-			log.Fatal("stream never drained")
+			log.Fatal("session never finalized")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	tr := col.Trace()
+	sst, err := store.Open(d.SessionManifest(session))
+	if err != nil {
+		log.Fatalf("open session: %v", err)
+	}
+	tr, err := sst.Trace()
+	sst.Close()
+	if err != nil {
+		log.Fatalf("load session: %v", err)
+	}
 	snap = stage(snap, fmt.Sprintf("record + stream (%d events)", tr.Len()))
 
 	// Stage 2 — persist: encode through the sharded writer.
@@ -161,8 +175,18 @@ func main() {
 	resp.Body.Close()
 	fmt.Printf("\n== GET /metrics (%d series) — excerpt ==\n", bytes.Count(body, []byte("\n")))
 	for _, line := range strings.Split(string(body), "\n") {
-		if strings.HasPrefix(line, "tracedbg_trace_") || strings.HasPrefix(line, "tracedbg_remote_collector_") {
+		if strings.HasPrefix(line, "tracedbg_trace_") || strings.HasPrefix(line, "tracedbg_collector_sessions_") {
 			fmt.Println(line)
 		}
 	}
+}
+
+// finalized reports whether the daemon has sealed the session's store.
+func finalized(d *remote.Daemon, session string) bool {
+	for _, s := range d.Sessions() {
+		if s.ID == session && s.State == "done" {
+			return true
+		}
+	}
+	return false
 }

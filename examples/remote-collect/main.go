@@ -1,13 +1,14 @@
 // Remote collection: the client/server architecture of a distributed
 // debugger. An instrumented run streams its history over TCP to a
-// collector (in a real deployment they would be different machines); the
-// collector's merged trace is then queried, analyzed, and rendered —
-// including mid-run, via flush-on-demand.
+// collector daemon (in a real deployment they would be different machines),
+// which lands it in a session store; the debugger side opens that store and
+// queries, analyzes and renders the history.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"tracedbg"
@@ -15,21 +16,28 @@ import (
 	"tracedbg/internal/instr"
 	"tracedbg/internal/mp"
 	"tracedbg/internal/remote"
+	"tracedbg/internal/store"
 )
 
 func main() {
-	// The "debugger side": a collector listening for history streams.
-	col, err := remote.NewCollector("127.0.0.1:0")
+	// The "debugger side": a collector daemon listening for history
+	// streams, each session landing in its own store under dir.
+	dir, err := os.MkdirTemp("", "remote-collect-")
+	if err != nil {
+		log.Fatalf("session dir: %v", err)
+	}
+	defer os.RemoveAll(dir)
+	d, err := remote.NewDaemon("127.0.0.1:0", remote.DaemonOptions{Dir: dir})
 	if err != nil {
 		log.Fatalf("collector: %v", err)
 	}
-	defer col.Close()
-	fmt.Printf("collector listening on %s\n", col.Addr())
+	defer d.Close()
+	fmt.Printf("collector listening on %s\n", d.Addr())
 
 	// The "target side": an instrumented 6-rank LU sweep streaming its
 	// records to the collector while it runs.
-	const ranks = 6
-	client, err := remote.Dial(col.Addr(), ranks)
+	const ranks, session = 6, "lu-sweep"
+	client, err := remote.DialOptions(d.Addr(), ranks, remote.ClientOptions{SessionID: session})
 	if err != nil {
 		log.Fatalf("dial: %v", err)
 	}
@@ -42,20 +50,21 @@ func main() {
 		log.Fatalf("client close: %v", err)
 	}
 
-	// Wait for the stream to drain, then work on the collected history.
-	var tr *tracedbg.Trace
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		tr = col.Trace()
-		if tr.Len() > 0 && len(col.Errs()) == 0 {
-			st := tr.Summarize()
-			if st.Recvs == st.Sends && st.Sends > 0 {
-				break
-			}
-		}
+	// Wait for the session to finalize, then open the collected history.
+	for deadline := time.Now().Add(10 * time.Second); !finalized(d, session); {
 		if time.Now().After(deadline) {
-			log.Fatal("stream never drained")
+			log.Fatal("session never finalized")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	sst, err := store.Open(d.SessionManifest(session))
+	if err != nil {
+		log.Fatalf("open session: %v", err)
+	}
+	defer sst.Close()
+	tr, err := sst.Trace()
+	if err != nil {
+		log.Fatalf("load session: %v", err)
 	}
 	if err := tr.Validate(); err != nil {
 		log.Fatalf("streamed trace invalid: %v", err)
@@ -76,4 +85,14 @@ func main() {
 
 	// And render the usual big picture from the streamed data.
 	fmt.Print(tracedbg.ASCII(tr, tracedbg.RenderOptions{Width: 78}))
+}
+
+// finalized reports whether the daemon has sealed the session's store.
+func finalized(d *remote.Daemon, session string) bool {
+	for _, s := range d.Sessions() {
+		if s.ID == session && s.State == "done" {
+			return true
+		}
+	}
+	return false
 }

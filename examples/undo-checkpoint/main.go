@@ -23,9 +23,14 @@ func main() {
 // undoDemo: stop a run mid-way, resume it, then undo back to the stop.
 func undoDemo() {
 	fmt.Println("--- parallel undo ---")
+	// The ranks start only once the breakpoint is armed: a rank 0 that
+	// entered Hop before BreakFunc would send, then wait for a message from
+	// a rank stopped at the breakpoint, and never stop itself.
+	armed := make(chan struct{})
+	ring := apps.Ring(6, nil)
 	d := tracedbg.New(tracedbg.Target{
 		Cfg:  tracedbg.Config{NumRanks: 3},
-		Body: apps.Ring(6, nil),
+		Body: func(c *instr.Ctx) { <-armed; ring(c) },
 	})
 	s, err := d.Launch()
 	if err != nil {
@@ -35,6 +40,7 @@ func undoDemo() {
 	// run ahead until they need a message rank 0 has not sent yet), then
 	// step rank 0 through a few events.
 	s.BreakFunc("Hop")
+	close(armed)
 	if _, err := s.WaitStop(0, 30*time.Second); err != nil {
 		log.Fatalf("stop: %v", err)
 	}

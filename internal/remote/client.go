@@ -10,7 +10,6 @@ import (
 	"math/big"
 	"net"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -25,14 +24,12 @@ type ClientOptions struct {
 	// ID is the stable client identity used for resume after reconnects.
 	// Default: a random 16-hex-digit string.
 	ID string
-	// SessionID, when set, selects the v3 daemon protocol: the handshake
-	// carries this session identity, the client honors the daemon's credit
-	// window (backpressure) and typed rejection/quota replies. Empty keeps
-	// the v2 single-trace protocol.
+	// SessionID names the daemon session the records land in: the
+	// directory under the daemon's root and the identity a resume reattaches
+	// to. Default "c-" + ID, one session per client.
 	SessionID string
 	// DrainTimeout bounds how long Close waits for the daemon's credit
-	// window to admit the remaining backlog. Default 30s. Only meaningful
-	// with SessionID set.
+	// window to admit the remaining backlog. Default 30s.
 	DrainTimeout time.Duration
 	// MaxRetries bounds consecutive failed reconnect attempts before the
 	// client gives up and sets Err. Default 10; negative means unlimited.
@@ -59,6 +56,9 @@ func (o ClientOptions) withDefaults() ClientOptions {
 		} else {
 			o.ID = "client"
 		}
+	}
+	if o.SessionID == "" {
+		o.SessionID = "c-" + o.ID
 	}
 	if o.MaxRetries == 0 {
 		o.MaxRetries = 10
@@ -103,7 +103,7 @@ type Client struct {
 	total   uint64         // records emitted so far
 	acked   uint64         // records the collector has acknowledged
 	sent    uint64         // records written to the current connection
-	win     uint64         // absolute send limit (acked+credit); 0 = no window
+	win     uint64         // absolute send limit: acked + credit window
 
 	spillPath string
 	spillF    *os.File
@@ -164,20 +164,15 @@ func DialOptions(addr string, numRanks int, opts ClientOptions) (*Client, error)
 func (cl *Client) ID() string { return cl.opts.ID }
 
 // connect dials and handshakes, returning the connection, its buffered
-// reader (which owns the ack heartbeat stream), the collector's acknowledged
-// record count and its credit window (0: no windowing). A typed *ErrRejected
-// is returned when a v3 daemon refuses admission.
+// reader (which owns the ack heartbeat stream), the daemon's acknowledged
+// record count and its credit window. A typed *ErrRejected is returned when
+// the daemon refuses admission.
 func (cl *Client) connect() (net.Conn, *bufio.Reader, uint64, uint64, error) {
 	conn, err := net.Dial("tcp", cl.addr)
 	if err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("remote: dial: %w", err)
 	}
-	if cl.opts.SessionID != "" {
-		_, err = fmt.Fprintf(conn, "%s%d %s %s\n", handshakeV3, cl.numRanks, cl.opts.ID, cl.opts.SessionID)
-	} else {
-		_, err = fmt.Fprintf(conn, "%s%d %s\n", handshakeV2, cl.numRanks, cl.opts.ID)
-	}
-	if err != nil {
+	if _, err := fmt.Fprintf(conn, "%s%d %s %s\n", handshakeV3, cl.numRanks, cl.opts.ID, cl.opts.SessionID); err != nil {
 		conn.Close() //nolint:ioerr // handshake teardown; the handshake error is surfaced
 		return nil, nil, 0, 0, fmt.Errorf("remote: handshake: %w", err)
 	}
@@ -202,51 +197,9 @@ func (cl *Client) connect() (net.Conn, *bufio.Reader, uint64, uint64, error) {
 	return conn, br, ack, win, nil
 }
 
-// parseAck parses "TDBGACK <n>\n" (v2) or "TDBGACK <n> <win>\n" (v3).
-func parseAck(line string) (ack, win uint64, ok bool) {
-	if !strings.HasPrefix(line, ackPrefix) {
-		return 0, 0, false
-	}
-	fields := strings.Fields(strings.TrimPrefix(line, ackPrefix))
-	if len(fields) != 1 && len(fields) != 2 {
-		return 0, 0, false
-	}
-	ack, err := strconv.ParseUint(fields[0], 10, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	if len(fields) == 2 {
-		if win, err = strconv.ParseUint(fields[1], 10, 64); err != nil {
-			return 0, 0, false
-		}
-	}
-	return ack, win, true
-}
-
-// parseReject parses "TDBGREJ <reason> <retryAfterMs>\n" into the typed
-// error. A malformed line degrades to a retryable one-second hint rather
-// than a permanent refusal.
-func parseReject(line string) *ErrRejected {
-	fields := strings.Fields(strings.TrimPrefix(line, rejPrefix))
-	e := &ErrRejected{Reason: "unknown", RetryAfter: time.Second}
-	if len(fields) >= 1 {
-		e.Reason = fields[0]
-	}
-	if len(fields) >= 2 {
-		if ms, err := strconv.ParseInt(fields[1], 10, 64); err == nil {
-			if ms < 0 {
-				e.RetryAfter = -1
-			} else {
-				e.RetryAfter = time.Duration(ms) * time.Millisecond
-			}
-		}
-	}
-	return e
-}
-
 // attachLocked installs a fresh connection and retransmits everything the
-// collector has not acknowledged — bounded by the credit window when the
-// handshake granted one. Caller holds cl.mu.
+// daemon has not acknowledged, bounded by the credit window the handshake
+// granted. Caller holds cl.mu.
 func (cl *Client) attachLocked(conn net.Conn, br *bufio.Reader, ack, win uint64) error {
 	bw := bufio.NewWriterSize(conn, 1<<16)
 	fw, err := trace.NewFileWriterOptions(bw, cl.numRanks, cl.writerOptions())
@@ -262,10 +215,7 @@ func (cl *Client) attachLocked(conn net.Conn, br *bufio.Reader, ack, win uint64)
 	}
 	cl.acked = ack
 	cl.sent = ack
-	cl.win = 0
-	if win > 0 {
-		cl.win = ack + win
-	}
+	cl.win = ack + win
 	m := metrics()
 	m.clientResumeGap.Observe(cl.total - ack)
 	m.clientUnacked.Set(int64(cl.total - ack))
@@ -285,10 +235,7 @@ func (cl *Client) attachLocked(conn net.Conn, br *bufio.Reader, ack, win uint64)
 
 // sendLimitLocked returns the highest record count the window lets us send.
 func (cl *Client) sendLimitLocked() uint64 {
-	if cl.win > 0 && cl.win < cl.total {
-		return cl.win
-	}
-	return cl.total
+	return min(cl.win, cl.total)
 }
 
 // sendRangeLocked writes records from+1 .. to to the current writer,
@@ -475,7 +422,7 @@ func (cl *Client) Emit(rec *trace.Record) {
 	if cl.fw == nil {
 		return
 	}
-	if (cl.win > 0 && cl.sent >= cl.win) || cl.sent < cl.total-1 {
+	if cl.sent >= cl.win || cl.sent < cl.total-1 {
 		// Credit window exhausted: the record stays buffered; the ackReader
 		// pumps it out when the daemon grants more credit. The same holds
 		// while older records are still window-stalled: writing this one now
@@ -516,10 +463,10 @@ func (cl *Client) dropConnLocked() {
 	}
 }
 
-// ackReader consumes TDBGACK heartbeat lines for one connection. A read
-// error is the outage signal: it triggers the reconnect loop. On v3
-// connections it also applies credit-window growth (pumping buffered
-// backlog onto the wire) and terminal TDBGQUO quota kills.
+// ackReader consumes TDBGACK lines for one connection. A read error is the
+// outage signal: it triggers the reconnect loop. It also applies
+// credit-window growth (pumping buffered backlog onto the wire) and terminal
+// TDBGQUO quota kills.
 func (cl *Client) ackReader(conn net.Conn, br *bufio.Reader, gen int) {
 	defer cl.wg.Done()
 	var lastAck time.Time
@@ -562,7 +509,7 @@ func (cl *Client) ackReader(conn net.Conn, br *bufio.Reader, gen int) {
 				cl.acked = n
 			}
 			if cl.connGen == gen && cl.fw != nil {
-				if nw := n + win; win > 0 && nw > cl.win {
+				if nw := n + win; nw > cl.win {
 					cl.win = nw
 				}
 				cl.pumpLocked()
@@ -733,29 +680,23 @@ func (cl *Client) Total() uint64 {
 
 // Close flushes, stops the reconnect machinery, closes the connection and
 // deletes the spill file. If the client is disconnected with unsent
-// records, Close reports how many were abandoned. On a windowed
-// connection (any collector that granted a credit window, regardless of
-// SessionID), Close first waits up to DrainTimeout for the daemon's credit
-// grants to admit the remaining backlog; if records are still stalled when
-// the wait expires, Close aborts the connection (so the collector sees a
-// torn stream, never a falsely complete session) and returns an error
-// naming the abandoned count instead of reporting success.
+// records, Close reports how many were abandoned. Close first waits up to
+// DrainTimeout for the daemon's credit grants to admit the remaining
+// backlog; if records are still stalled when the wait expires, Close aborts
+// the connection (so the daemon sees a torn stream, never a falsely
+// complete session) and returns an error naming the abandoned count instead
+// of reporting success.
 func (cl *Client) Close() error {
-	cl.mu.Lock()
-	windowed := cl.win > 0
-	cl.mu.Unlock()
-	if windowed {
-		cl.Flush() //nolint:ioerr // tail must hit the wire before acks drain; failure surfaces via cl.err below
-		deadline := time.Now().Add(cl.opts.DrainTimeout)
-		for {
-			cl.mu.Lock()
-			drained := cl.closed || cl.err != nil || cl.conn == nil || cl.sent >= cl.total
-			cl.mu.Unlock()
-			if drained || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
+	cl.Flush() //nolint:ioerr // tail must hit the wire before acks drain; failure surfaces via cl.err below
+	deadline := time.Now().Add(cl.opts.DrainTimeout)
+	for {
+		cl.mu.Lock()
+		drained := cl.closed || cl.err != nil || cl.conn == nil || cl.sent >= cl.total
+		cl.mu.Unlock()
+		if drained || time.Now().After(deadline) {
+			break
 		}
+		time.Sleep(2 * time.Millisecond)
 	}
 	cl.mu.Lock()
 	if cl.closed {

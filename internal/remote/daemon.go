@@ -11,8 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -185,7 +183,7 @@ type session struct {
 	accepted   uint64 // records read off the wire since session birth
 	durable    uint64 // records flushed to segment files
 	advertised uint64 // durable count last acked on the live connection
-	grantEvery uint64 // durable advance that earns a credit grant (0: v2, none)
+	grantEvery uint64 // durable advance that earns a credit grant
 	lastBytes  int64  // BytesWritten at last disk accounting
 	killReason string
 	incomplete string // finalize reason ("" = complete)
@@ -240,8 +238,8 @@ type sessionMeta struct {
 	Incomplete string `json:"incomplete_reason,omitempty"`
 }
 
-// Daemon is the long-running multi-session collector: it admits v3 (and v2)
-// client sessions under explicit resource governance — max sessions, per
+// Daemon is the long-running multi-session collector: it admits client
+// sessions under explicit resource governance — max sessions, per
 // client caps, byte/record quotas, a global disk budget, credit-window
 // backpressure — lands each session in its own live-openable segment store,
 // and finalizes every admitted session's manifest on drain. On startup it
@@ -442,6 +440,16 @@ func writeReject(conn net.Conn, reason string, retryAfter time.Duration) {
 	writeLine(conn, fmt.Sprintf("%s%s %d\n", rejPrefix, reason, ms)) //nolint:ioerr // peer may already be gone; it retries and is refused again
 }
 
+// rejectSession counts, logs and sends one admission refusal.
+func rejectSession(conn net.Conn, clientID, sessionID, reason string, retryAfter time.Duration) {
+	metrics().sessRejected.Inc()
+	if l := obs.Events(); l.Enabled(obs.LevelWarn) {
+		l.Log(obs.LevelWarn, "daemon.rejected", obs.F("client", clientID),
+			obs.F("session", sessionID), obs.F("reason", reason))
+	}
+	writeReject(conn, reason, retryAfter)
+}
+
 // validSessionID enforces the charset that makes a session ID safe to use
 // as a directory name.
 func validSessionID(id string) bool {
@@ -467,58 +475,27 @@ func (d *Daemon) handle(conn net.Conn) error {
 		return fmt.Errorf("handshake: %w", err)
 	}
 
-	var clientID, sessionID string
-	var numRanks int
-	legacyV2 := false
-	switch {
-	case strings.HasPrefix(line, handshakeV3):
-		fields := strings.Fields(line)[1:]
-		if len(fields) != 3 {
-			return fmt.Errorf("bad handshake %q", strings.TrimSpace(line))
-		}
-		numRanks, err = strconv.Atoi(fields[0])
-		if err != nil || numRanks <= 0 {
-			return fmt.Errorf("bad rank count in handshake %q", strings.TrimSpace(line))
-		}
-		clientID, sessionID = fields[1], fields[2]
-	case strings.HasPrefix(line, handshakeV2):
-		// v2 clients get a synthesized one-session-per-client identity and
-		// plain one-field acks: a pre-window v2 binary parses exactly one
-		// field after TDBGACK, so a credit window would break it. Windowless
-		// sessions ride TCP backpressure when the queue fills (below).
-		fields := strings.Fields(line)[1:]
-		if len(fields) != 2 {
-			return fmt.Errorf("bad handshake %q", strings.TrimSpace(line))
-		}
-		numRanks, err = strconv.Atoi(fields[0])
-		if err != nil || numRanks <= 0 {
-			return fmt.Errorf("bad rank count in handshake %q", strings.TrimSpace(line))
-		}
-		clientID = fields[1]
-		sessionID = "c-" + clientID
-		legacyV2 = true
-	default:
-		// v1 has no client identity, so no resume and no quota attribution:
-		// the daemon refuses it rather than accepting records it could lose.
-		return fmt.Errorf("daemon requires v2/v3 handshake, got %q", strings.TrimSpace(line))
+	numRanks, clientID, sessionID, err := parseHandshake(line)
+	if errors.Is(err, errBadSession) {
+		rejectSession(conn, clientID, sessionID, RejectBadSession, -1)
+		return nil
+	}
+	if err != nil {
+		// v1/v2 peers have no session (and v1 no client identity either), so
+		// no resume and no quota attribution: the daemon refuses them rather
+		// than accepting records it could lose.
+		return err
 	}
 
 	win := uint64(d.opts.QueueRecords)
-	if legacyV2 {
-		win = 0 // windowing is v3-only; v2 acks carry a single field
-	}
 	wake := make(chan struct{}, 1)
 	s, myGen, ack, rejReason, retryAfter := d.admit(conn, wake, clientID, sessionID, numRanks, win)
 	if rejReason != "" {
-		metrics().sessRejected.Inc()
-		if l := obs.Events(); l.Enabled(obs.LevelWarn) {
-			l.Log(obs.LevelWarn, "daemon.rejected", obs.F("client", clientID),
-				obs.F("session", sessionID), obs.F("reason", rejReason))
-		}
-		writeReject(conn, rejReason, retryAfter)
+		rejectSession(conn, clientID, sessionID, rejReason, retryAfter)
 		return nil
 	}
 	defer s.handlerWG.Done()
+	defer d.detach(s, conn)
 	if err := writeAck(conn, ack, win); err != nil {
 		return fmt.Errorf("handshake ack: %w", err)
 	}
@@ -596,6 +573,16 @@ func (d *Daemon) handle(conn net.Conn) error {
 	}
 }
 
+// detach marks the session disconnected when its handler exits, unless a
+// newer connection has already taken the session over.
+func (d *Daemon) detach(s *session, conn net.Conn) {
+	d.mu.Lock()
+	if s.conn == conn {
+		s.conn = nil
+	}
+	d.mu.Unlock()
+}
+
 // lingerKilled keeps a killed session's connection readable until the peer
 // hangs up: closing a socket with unread bytes in its receive queue turns
 // the close into an RST, and an RST discards the TDBGQUO line before the
@@ -612,9 +599,6 @@ func (d *Daemon) admit(conn net.Conn, wake chan struct{}, clientID, sessionID st
 	defer d.mu.Unlock()
 	if d.draining {
 		return nil, 0, 0, RejectDraining, d.opts.RetryAfter
-	}
-	if !validSessionID(sessionID) {
-		return nil, 0, 0, RejectBadSession, -1
 	}
 	if r := d.retired[sessionID]; r != nil {
 		// The session finalized (possibly in a previous daemon life): admitting
@@ -694,10 +678,7 @@ func (s *session) attachLocked(conn net.Conn, wake chan struct{}, ack, win uint6
 	s.conn = conn
 	s.wake = wake
 	s.advertised = ack
-	s.grantEvery = win / 4
-	if s.grantEvery == 0 && win > 0 {
-		s.grantEvery = 1
-	}
+	s.grantEvery = max(win/4, 1)
 }
 
 // publishDurableLocked records the writer's new durable count and wakes the
@@ -1181,13 +1162,8 @@ const ackWriteTimeout = 2 * time.Second
 // waiting for the peer to read the kill line and hang up.
 const killDrain = 2 * time.Second
 
-// writeAck sends one acknowledgement line: "TDBGACK <n> <win>" for windowed
-// (v3) connections, the one-field v2 form when win is zero — pre-window v2
-// binaries parse exactly one field.
+// writeAck sends one acknowledgement line, "TDBGACK <n> <win>".
 func writeAck(conn net.Conn, n, win uint64) error {
-	if win == 0 {
-		return writeLine(conn, fmt.Sprintf("%s%d\n", ackPrefix, n))
-	}
 	return writeLine(conn, fmt.Sprintf("%s%d %d\n", ackPrefix, n, win))
 }
 
@@ -1209,8 +1185,7 @@ func writeLine(conn net.Conn, line string) error {
 // only ever stalled with a full window in flight beyond the last advertised
 // count, and a full window becoming durable crosses a quarter of it. The
 // ticker is the idle keepalive — liveness and a fresh resume point for
-// connections that earn no grant — and the only ack source for windowless v2
-// peers.
+// connections that earn no grant.
 //
 // A failed ack write is fatal to the connection, not just to the sender: a
 // connection that stays open with nobody granting credit wedges both ends

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -480,29 +479,6 @@ func waitNoRemoteGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
-func TestCollectorCloseDrainsGoroutines(t *testing.T) {
-	base := remoteGoroutines()
-	col, err := NewCollectorOptions("127.0.0.1:0", CollectorOptions{Heartbeat: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := DialOptions(col.Addr(), 2, fastClient())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var next uint64
-	emitMarkers(cl, 2, 50, &next)
-	cl.Flush()
-	waitFor(t, "records received", func() bool { return col.Received(cl.ID()) == 100 })
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := col.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitNoRemoteGoroutines(t, base, "Collector.Close")
-}
-
 func TestDaemonCloseDrainsGoroutines(t *testing.T) {
 	base := remoteGoroutines()
 	d, err := NewDaemon("127.0.0.1:0", fastDaemon(t))
@@ -530,61 +506,6 @@ func TestDaemonCloseDrainsGoroutines(t *testing.T) {
 		cl.Close()
 	}
 	waitNoRemoteGoroutines(t, base, "Daemon.Close")
-}
-
-// TestDaemonV2ClientCompat: a session-less (v2) client lands in a
-// synthesized per-client session and still round-trips.
-func TestDaemonV2ClientCompat(t *testing.T) {
-	d, err := NewDaemon("127.0.0.1:0", fastDaemon(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	cl, err := DialOptions(d.Addr(), 2, fastClient()) // no SessionID: v2 handshake
-	if err != nil {
-		t.Fatal(err)
-	}
-	var next uint64
-	emitMarkers(cl, 2, 60, &next)
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	session := "c-" + cl.ID()
-	waitDone(t, d, session)
-	auditMarkers(t, openSession(t, d, session), 2, 60)
-}
-
-// TestDaemonV2AckSingleField emulates a pre-window v2 binary, whose ack
-// parser treats everything after "TDBGACK " as one integer: the daemon's
-// handshake ack and heartbeats to v2 sessions must carry no window field.
-func TestDaemonV2AckSingleField(t *testing.T) {
-	d, err := NewDaemon("127.0.0.1:0", fastDaemon(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	conn, err := net.Dial("tcp", d.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "%s1 oldie\n", handshakeV2); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	for i := 0; i < 2; i++ { // handshake ack, then a heartbeat
-		line, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatalf("reading ack %d: %v", i, err)
-		}
-		if !strings.HasPrefix(line, ackPrefix) {
-			t.Fatalf("ack %d = %q, want %q prefix", i, line, ackPrefix)
-		}
-		rest := strings.TrimSpace(strings.TrimPrefix(line, ackPrefix))
-		if _, perr := strconv.ParseUint(rest, 10, 64); perr != nil {
-			t.Fatalf("v2 ack %q does not parse as a single count (old binaries break): %v", strings.TrimSpace(line), perr)
-		}
-	}
 }
 
 // TestCloseSurfacesWindowStalledTail: against a collector that grants a
@@ -720,28 +641,39 @@ func TestDaemonBindFailureRecoversNothing(t *testing.T) {
 	waitNoRemoteGoroutines(t, base, "failed NewDaemon")
 }
 
-// TestDaemonRejectsV1 documents that the daemon refuses identity-less v1
-// streams instead of accepting records it cannot attribute or resume.
+// TestDaemonRejectsV1 documents that the daemon refuses the pre-session
+// v1 and v2 handshakes instead of accepting records it cannot attribute to
+// a session or resume.
 func TestDaemonRejectsV1(t *testing.T) {
-	d, err := NewDaemon("127.0.0.1:0", fastDaemon(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	conn, err := net.Dial("tcp", d.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte(handshakeV1 + "2\n")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "v1 refusal", func() bool {
-		for _, e := range d.Errs() {
-			if strings.Contains(e.Error(), "requires v2/v3") {
-				return true
+	for _, tc := range []struct{ name, line string }{
+		{"v1", "TDBGREMOTE1 2\n"},
+		{"v2", "TDBGREMOTE2 2 oldie\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := NewDaemon("127.0.0.1:0", fastDaemon(t))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return false
-	})
+			defer d.Close()
+			conn, err := net.Dial("tcp", d.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write([]byte(tc.line)); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, tc.name+" refusal", func() bool {
+				for _, e := range d.Errs() {
+					if strings.Contains(e.Error(), "requires v3") {
+						return true
+					}
+				}
+				return false
+			})
+			if n := len(d.Sessions()); n != 0 {
+				t.Errorf("%s handshake opened %d session(s)", tc.name, n)
+			}
+		})
+	}
 }

@@ -8,7 +8,7 @@ import (
 
 // remoteMetrics is the package's self-observability set, covering both ends
 // of the wire: the client's buffering/reconnect machinery and the
-// collector's merge loop. The per-record receive counter is rank-sharded;
+// daemon's ingest loop. The per-record receive counter is rank-sharded;
 // everything else fires at connection or chunk granularity.
 type remoteMetrics struct {
 	// client side
@@ -82,9 +82,9 @@ func newRemoteMetrics(r *obs.Registry) *remoteMetrics {
 		collActive: r.Gauge("tracedbg_remote_collector_active_connections",
 			"connections currently open on the collector"),
 		collReceived: r.ShardedCounter("tracedbg_remote_collector_records_received_total",
-			"records the collector accepted into the merged history"),
+			"records the collector accepted into a session"),
 		collResumes: r.Counter("tracedbg_remote_collector_resumes_total",
-			"v2 handshakes that resumed a known client at a nonzero record count"),
+			"handshakes that resumed a known session"),
 		collIdleDrops: r.Counter("tracedbg_remote_collector_idle_drops_total",
 			"connections dropped for exceeding the idle timeout"),
 		collHeartbeats: r.Counter("tracedbg_remote_collector_heartbeats_sent_total",

@@ -3,6 +3,7 @@ package remote
 import (
 	"net"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,23 +17,6 @@ func fastClient() ClientOptions {
 		MaxRetries:  -1, // the test controls how long the outage lasts
 		BackoffBase: 2 * time.Millisecond,
 		BackoffMax:  20 * time.Millisecond,
-	}
-}
-
-// restartCollector binds a new collector on the exact address of a killed
-// one, retrying briefly in case the OS has not released the port yet.
-func restartCollector(t *testing.T, addr string, opts CollectorOptions) *Collector {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		col, err := NewCollectorOptions(addr, opts)
-		if err == nil {
-			return col
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rebinding %s: %v", addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -68,15 +52,29 @@ func auditMarkers(t *testing.T, tr *trace.Trace, ranks int, want uint64) {
 	}
 }
 
+// durableOf reports a session's durable record count on d.
+func durableOf(d *Daemon, session string) uint64 {
+	for _, s := range d.Sessions() {
+		if s.ID == session {
+			return s.Durable
+		}
+	}
+	return 0
+}
+
+// TestKillAndRestartCollectorLosesNothing: the daemon dies mid-run and a
+// stateless one (fresh directory) takes over its address. It acknowledges
+// 0 records, so the client retransmits the full history, and the session
+// holds every record exactly once.
 func TestKillAndRestartCollectorLosesNothing(t *testing.T) {
 	const ranks = 2
-	colOpts := CollectorOptions{Heartbeat: 5 * time.Millisecond}
-	col1, err := NewCollectorOptions("127.0.0.1:0", colOpts)
+	opts := fastDaemon(t)
+	d1, err := NewDaemon("127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := col1.Addr()
-	cl, err := DialOptions(addr, ranks, fastClient())
+	addr := d1.Addr()
+	cl, err := DialOptions(addr, ranks, sessionClient("restart"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,56 +84,64 @@ func TestKillAndRestartCollectorLosesNothing(t *testing.T) {
 	if err := cl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "first batch", func() bool { return col1.Received(cl.ID()) == 50*ranks })
+	waitFor(t, "first batch durable", func() bool { return durableOf(d1, "restart") == 50*ranks })
 
-	// The collector dies mid-run; the client keeps emitting into its buffer.
-	col1.Kill()
-	if !col1.Trace().Incomplete() {
-		t.Error("killed collector's trace not marked incomplete")
+	// The daemon dies mid-run, leaving the session unfinalized; the client
+	// keeps emitting into its buffer.
+	d1.Kill()
+	meta, err := d1.readSessionMeta(filepath.Join(opts.Dir, "restart"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Complete || meta.Incomplete != "" {
+		t.Errorf("killed daemon finalized the session: %+v", meta)
 	}
 	emitMarkers(cl, ranks, 50, &next)
 
-	// A fresh, stateless collector takes over the same address. It
-	// acknowledges 0 records, so the client retransmits the full history.
-	col2 := restartCollector(t, addr, colOpts)
-	defer col2.Close()
+	opts.Dir = t.TempDir()
+	d2 := restartDaemon(t, addr, opts)
+	defer d2.Close()
 	emitMarkers(cl, ranks, 50, &next)
 	cl.Flush()
-
-	waitFor(t, "resumed stream", func() bool {
-		return col2.Received(cl.ID()) == 150*ranks
-	})
-	got := col2.Trace()
-	if err := got.Validate(); err != nil {
-		t.Fatalf("merged trace invalid: %v", err)
-	}
-	auditMarkers(t, got, ranks, 150)
-	if errs := col2.Errs(); len(errs) != 0 {
-		t.Errorf("collector errors: %v", errs)
-	}
+	waitFor(t, "resumed stream durable", func() bool { return durableOf(d2, "restart") == 150*ranks })
 	if err := cl.Close(); err != nil {
 		t.Errorf("client close: %v", err)
 	}
 	if cl.Err() != nil {
 		t.Errorf("client error: %v", cl.Err())
 	}
+	waitDone(t, d2, "restart")
+	got := openSession(t, d2, "restart")
+	if err := got.Validate(); err != nil {
+		t.Fatalf("merged trace invalid: %v", err)
+	}
+	if got.Incomplete() {
+		t.Errorf("resent session incomplete: %s", got.IncompleteReason())
+	}
+	auditMarkers(t, got, ranks, 150)
+	if errs := d2.Errs(); len(errs) != 0 {
+		t.Errorf("daemon errors: %v", errs)
+	}
 }
 
+// TestClientSpillsToDiskDuringOutage: records emitted while the daemon is
+// down overflow to the spill file, and a stateless replacement daemon is
+// replayed all of them from it.
 func TestClientSpillsToDiskDuringOutage(t *testing.T) {
-	colOpts := CollectorOptions{Heartbeat: 5 * time.Millisecond}
-	col1, err := NewCollectorOptions("127.0.0.1:0", colOpts)
+	opts := fastDaemon(t)
+	d1, err := NewDaemon("127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := col1.Addr()
-	opts := fastClient()
-	opts.MemLimit = 8
-	opts.SpillDir = t.TempDir()
-	cl, err := DialOptions(addr, 1, opts)
+	addr := d1.Addr()
+	co := sessionClient("spill")
+	co.MemLimit = 8
+	co.SpillDir = t.TempDir()
+	cl, err := DialOptions(addr, 1, co)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col1.Kill()
+	d1.Kill()
 
 	var next uint64
 	emitMarkers(cl, 1, 100, &next)
@@ -149,72 +155,80 @@ func TestClientSpillsToDiskDuringOutage(t *testing.T) {
 		t.Fatalf("spill file: %v", err)
 	}
 
-	col2 := restartCollector(t, addr, colOpts)
-	defer col2.Close()
-	waitFor(t, "spilled records resent", func() bool {
-		return col2.Received(cl.ID()) == 100
-	})
-	auditMarkers(t, col2.Trace(), 1, 100)
-
+	opts.Dir = t.TempDir()
+	d2 := restartDaemon(t, addr, opts)
+	defer d2.Close()
+	cl.Flush()
+	waitFor(t, "spilled records resent", func() bool { return durableOf(d2, "spill") == 100 })
 	if err := cl.Close(); err != nil {
 		t.Errorf("client close: %v", err)
 	}
 	if _, err := os.Stat(spillPath); !os.IsNotExist(err) {
 		t.Errorf("spill file not removed on close: %v", err)
 	}
+	waitDone(t, d2, "spill")
+	auditMarkers(t, openSession(t, d2, "spill"), 1, 100)
 }
 
+// TestCollectorIdleTimeout: a peer that handshakes, sends a stream header
+// and goes silent is cut loose instead of holding its session forever; the
+// session then waits for a resume, and a drain finalizes it incomplete.
 func TestCollectorIdleTimeout(t *testing.T) {
-	col, err := NewCollectorOptions("127.0.0.1:0", CollectorOptions{
-		Heartbeat:   5 * time.Millisecond,
-		IdleTimeout: 30 * time.Millisecond,
-	})
+	opts := fastDaemon(t)
+	opts.IdleTimeout = 30 * time.Millisecond
+	d, err := NewDaemon("127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer col.Close()
+	defer d.Close()
 
-	// A v1 peer that handshakes, sends a valid stream header, then goes
-	// silent: the collector must cut it loose instead of waiting forever.
-	conn, err := net.Dial("tcp", col.Addr())
+	conn, err := net.Dial("tcp", d.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte(handshakeV1 + "2\n")); err != nil {
+	if _, err := conn.Write([]byte(handshakeV3 + "2 mute mute\n")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := trace.NewFileWriter(conn, 2); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "idle drop", func() bool {
-		for _, e := range col.Errs() {
+		for _, e := range d.Errs() {
 			if strings.Contains(e.Error(), "idle timeout") {
 				return true
 			}
 		}
 		return false
 	})
-	if !col.Trace().Incomplete() {
-		t.Error("idle-dropped stream did not mark the trace incomplete")
+	waitFor(t, "session reported disconnected", func() bool {
+		ss := d.Sessions()
+		return len(ss) == 1 && !ss[0].Connected
+	})
+	if err := d.Drain(5 * time.Second); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if tr := openSession(t, d, "mute"); !tr.Incomplete() {
+		t.Error("idle-dropped session did not finalize incomplete")
 	}
 }
 
+// TestCollectorCloseDuringHandshake: a connection that never sends its
+// handshake must not wedge Close.
 func TestCollectorCloseDuringHandshake(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0")
+	d, err := NewDaemon("127.0.0.1:0", fastDaemon(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A connection that never sends its handshake must not wedge Close.
-	conn, err := net.Dial("tcp", col.Addr())
+	conn, err := net.Dial("tcp", d.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	time.Sleep(20 * time.Millisecond) // let the collector accept it
+	time.Sleep(20 * time.Millisecond) // let the daemon accept it
 	done := make(chan struct{})
 	go func() {
-		col.Close()
+		d.Close()
 		close(done)
 	}()
 	select {

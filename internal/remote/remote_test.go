@@ -1,26 +1,30 @@
 package remote
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
-	"time"
 
 	"tracedbg/internal/apps"
 	"tracedbg/internal/instr"
 	"tracedbg/internal/mp"
+	"tracedbg/internal/store"
 	"tracedbg/internal/trace"
 )
 
+// TestStreamWholeRun streams a whole instrumented run through a client with
+// default options: it lands in the session named after the client ID, and
+// the session holds exactly what a local sink recorded.
 func TestStreamWholeRun(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0")
+	d, err := NewDaemon("127.0.0.1:0", fastDaemon(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer col.Close()
+	defer d.Close()
 
 	const ranks = 3
-	client, err := Dial(col.Addr(), ranks)
+	client, err := Dial(d.Addr(), ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,41 +37,38 @@ func TestStreamWholeRun(t *testing.T) {
 	if err := client.Close(); err != nil {
 		t.Fatalf("client close: %v", err)
 	}
-	// Wait for the collector to drain the stream.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if col.Trace().Len() == local.Trace().Len() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("collector has %d records, want %d", col.Trace().Len(), local.Trace().Len())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	got := col.Trace()
+	session := "c-" + client.ID()
+	waitDone(t, d, session)
+	got := openSession(t, d, session)
 	if err := got.Validate(); err != nil {
 		t.Fatalf("streamed trace invalid: %v", err)
+	}
+	if got.Incomplete() {
+		t.Errorf("closed session incomplete: %s", got.IncompleteReason())
 	}
 	for r := 0; r < ranks; r++ {
 		if got.RankLen(r) != local.Trace().RankLen(r) {
 			t.Errorf("rank %d: %d streamed vs %d local", r, got.RankLen(r), local.Trace().RankLen(r))
 		}
 	}
-	if errs := col.Errs(); len(errs) != 0 {
-		t.Errorf("collector errors: %v", errs)
+	if errs := d.Errs(); len(errs) != 0 {
+		t.Errorf("daemon errors: %v", errs)
 	}
 	if client.Err() != nil {
 		t.Errorf("client error: %v", client.Err())
 	}
 }
 
+// TestFlushOnDemandMidRun is the paper's flush on demand: while the target
+// is still running, a flush makes its history so far readable through the
+// session's live store.
 func TestFlushOnDemandMidRun(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0")
+	d, err := NewDaemon("127.0.0.1:0", fastDaemon(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer col.Close()
-	client, err := Dial(col.Addr(), 2)
+	defer d.Close()
+	client, err := DialOptions(d.Addr(), 2, sessionClient("mid-run"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,107 +97,56 @@ func TestFlushOnDemandMidRun(t *testing.T) {
 	if err := client.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// The collector sees the partial history while the target still runs.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if len(col.Trace().Sends()) >= 1 {
-			break
+	// The debugger side sees the partial history while the target still runs.
+	waitFor(t, "mid-run flush readable in the live store", func() bool {
+		st, err := store.Open(d.SessionManifest("mid-run"))
+		if err != nil {
+			return false
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("mid-run flush never reached the collector")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		defer st.Close()
+		tr, err := st.Trace()
+		return err == nil && len(tr.Sends()) >= 1
+	})
 	close(release)
 	if err := w.Wait(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestCollectorServesOneExecution(t *testing.T) {
-	// A collector holds ONE execution history. A second session streaming
-	// into the same collector regresses per-rank clocks, which the append
-	// validation rejects and reports — instead of silently corrupting the
-	// history.
-	col, err := NewCollector("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	for i := 0; i < 2; i++ {
-		client, err := Dial(col.Addr(), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := instr.New(2, client, instr.LevelWrappers)
-		if err := in.Run(mp.Config{NumRanks: 2}, apps.Ring(1, nil)); err != nil {
-			t.Fatal(err)
-		}
-		if err := client.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(col.Errs()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("second session's clock regression not reported")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// The first session's history is intact and valid.
-	if err := col.Trace().Validate(); err != nil {
-		t.Fatalf("history corrupted: %v", err)
-	}
-}
-
+// TestHandshakeErrors: a malformed handshake is an error on the daemon, and
+// a resume that changes the rank count is refused permanently.
 func TestHandshakeErrors(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0")
+	d, err := NewDaemon("127.0.0.1:0", fastDaemon(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer col.Close()
+	defer d.Close()
 
-	// Garbage handshake.
-	conn, err := net.Dial("tcp", col.Addr())
+	conn, err := net.Dial("tcp", d.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.Write([]byte("NOT A HANDSHAKE\n"))
+	conn.Write([]byte(handshakeV3 + "3 only-two-fields\n"))
 	conn.Close()
-
-	// Mismatched rank count after a good client.
-	good, err := Dial(col.Addr(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good.Emit(&trace.Record{Kind: trace.KindMarker, Rank: 0, Marker: 1})
-	good.Close()
-
-	bad, err := Dial(col.Addr(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		errs := col.Errs()
-		var sawHandshake, sawMismatch bool
-		for _, e := range errs {
+	waitFor(t, "bad handshake reported", func() bool {
+		for _, e := range d.Errs() {
 			if strings.Contains(e.Error(), "bad handshake") {
-				sawHandshake = true
-			}
-			if strings.Contains(e.Error(), "rank count mismatch") {
-				sawMismatch = true
+				return true
 			}
 		}
-		if sawHandshake && sawMismatch {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("expected handshake errors, got %v", errs)
-		}
-		time.Sleep(5 * time.Millisecond)
+		return false
+	})
+
+	good, err := DialOptions(d.Addr(), 3, sessionClient("ranks"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	good.Emit(&trace.Record{Kind: trace.KindMarker, Rank: 0, Marker: 1})
+	_, err = DialOptions(d.Addr(), 5, sessionClient("ranks"))
+	var rej *ErrRejected
+	if !errors.As(err, &rej) || rej.Reason != RejectRankCount || rej.RetryAfter >= 0 {
+		t.Fatalf("resume with a different rank count = %v, want permanent *ErrRejected(%s)", err, RejectRankCount)
 	}
 }
 
@@ -207,17 +157,86 @@ func TestDialFailure(t *testing.T) {
 }
 
 func TestCollectorCloseIdempotent(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0")
+	d, err := NewDaemon("127.0.0.1:0", fastDaemon(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := col.Close(); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.Close(); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if col.Trace().NumRanks() != 0 {
-		t.Error("empty collector trace")
+	if n := len(d.Sessions()); n != 0 {
+		t.Errorf("empty daemon lists %d sessions", n)
 	}
+}
+
+// FuzzParseHandshake: the daemon's handshake parser never panics, and what
+// it accepts is a positive rank count and a session ID that is safe as a
+// directory name.
+func FuzzParseHandshake(f *testing.F) {
+	for _, seed := range []string{
+		handshakeV3 + "3 client-1 run-a\n",
+		handshakeV3 + "1 c c-c\n",
+		handshakeV3 + "0 c s\n",
+		handshakeV3 + "-2 c s\n",
+		handshakeV3 + "2 c ..\n",
+		handshakeV3 + "2 c .hidden\n",
+		handshakeV3 + "2 c a/b\n",
+		handshakeV3 + "99999999999999999999 c s\n",
+		handshakeV3 + "2 c s extra\n",
+		"TDBGREMOTE2 2 oldie\n",
+		"TDBGREMOTE1 2\n",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		ranks, client, session, err := parseHandshake(line)
+		if err != nil {
+			return
+		}
+		if ranks <= 0 {
+			t.Errorf("accepted rank count %d from %q", ranks, line)
+		}
+		if !validSessionID(session) {
+			t.Errorf("accepted session ID %q from %q", session, line)
+		}
+		if client == "" || strings.ContainsAny(client, " \t\r\n") {
+			t.Errorf("accepted client ID %q from %q", client, line)
+		}
+	})
+}
+
+// FuzzParseAck covers both daemon→client admission replies: an accepted ack
+// always grants a window, and a rejection always yields a reason and either
+// a permanent (-1) or a non-negative retry hint.
+func FuzzParseAck(f *testing.F) {
+	for _, seed := range []string{
+		ackPrefix + "0 1024\n",
+		ackPrefix + "18446744073709551615 1\n",
+		ackPrefix + "5\n",
+		ackPrefix + "5 0\n",
+		ackPrefix + "5 -1\n",
+		rejPrefix + "max-sessions 2000\n",
+		rejPrefix + "bad-session -1\n",
+		rejPrefix + "draining 9223372036854775807\n",
+		rejPrefix + "\n",
+		quoPrefix + "session-bytes\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		if _, win, ok := parseAck(line); ok && win == 0 {
+			t.Errorf("ack %q accepted with a zero window", line)
+		}
+		e := parseReject(line)
+		if e.Reason == "" {
+			t.Errorf("reject %q parsed to an empty reason", line)
+		}
+		if e.RetryAfter < 0 && e.RetryAfter != -1 {
+			t.Errorf("reject %q parsed to retry-after %v", line, e.RetryAfter)
+		}
+	})
 }
